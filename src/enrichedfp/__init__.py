@@ -67,7 +67,6 @@ from .space import (
     Mapping,
     NormKind,
     Point,
-    averaged_apply,
     check_commuting,
     distance,
     norm,

@@ -266,37 +266,41 @@ def _piecewise_root_square(x: float) -> float:
     return math.sqrt(x) if x <= 1.0 else x * x
 
 
+_G_DIFF = CClassFunction(lambda s, t: s - t, "s-t")
+_PSI_PIECEWISE = AlteringDistance(_piecewise_root_square, "sqrt-below-1-square-above")
+# module constants, so every lookup hands back the same (hashable) objects
+_BUILTIN_TRIPLES = (
+    CClassTriple(
+        psi=_PSI_PIECEWISE,
+        phi=PhiU(math.sqrt, "sqrt"),
+        g=_G_DIFF,
+        name="example-2.5-monotone",
+        expected=TripleExpectation(monotone=True),
+    ),
+    CClassTriple(
+        psi=_PSI_PIECEWISE,
+        phi=PhiU(lambda t: t * t, "square"),
+        g=_G_DIFF,
+        name="example-2.6-nonmonotone",
+        expected=TripleExpectation(monotone=False),
+    ),
+    CClassTriple(
+        psi=AlteringDistance(lambda t: t, "identity"),
+        phi=PhiU(lambda t: t, "identity"),
+        g=_G_DIFF,
+        name="identity-triple",
+        expected=TripleExpectation(monotone=True),
+    ),
+)
+
+
 def builtin_triples() -> list[CClassTriple]:
     """The fixed registry of named triples available to the CLI.
 
     Includes a monotone bundle (difference G with square-root weighting),
     its non-monotone sibling (square weighting), and the identity triple.
     """
-    g_diff = CClassFunction(lambda s, t: s - t, "s-t")
-    psi_pw = AlteringDistance(_piecewise_root_square, "sqrt-below-1-square-above")
-    return [
-        CClassTriple(
-            psi=psi_pw,
-            phi=PhiU(math.sqrt, "sqrt"),
-            g=g_diff,
-            name="example-2.5-monotone",
-            expected=TripleExpectation(monotone=True),
-        ),
-        CClassTriple(
-            psi=psi_pw,
-            phi=PhiU(lambda t: t * t, "square"),
-            g=g_diff,
-            name="example-2.6-nonmonotone",
-            expected=TripleExpectation(monotone=False),
-        ),
-        CClassTriple(
-            psi=AlteringDistance(lambda t: t, "identity"),
-            phi=PhiU(lambda t: t, "identity"),
-            g=g_diff,
-            name="identity-triple",
-            expected=TripleExpectation(monotone=True),
-        ),
-    ]
+    return list(_BUILTIN_TRIPLES)
 
 
 def get_triple(name: str) -> CClassTriple:

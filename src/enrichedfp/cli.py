@@ -5,7 +5,8 @@ list-triples.  Exit codes are a stable contract:
 
     0   converged / certificate satisfied / expectations matched
     2   not converged (iteration budget exhausted)
-    3   diverged, certificate violated, or expectation mismatch
+    3   diverged, certificate violated, expectation mismatch, or a map that
+        fails to evaluate
     64  configuration error (unknown problem, bad flags, bad config file)
 
 Outputs are reproducible: CSV bodies and certificate reports are
@@ -34,6 +35,7 @@ from .cclass import (
     validate_phiu,
 )
 from .contraction import (
+    _EXPECTED_MODE,
     Coefficients,
     ContractionVariant,
     PairSampler,
@@ -41,12 +43,21 @@ from .contraction import (
     Variant,
     certify,
 )
-from .errors import ConfigError, InvalidConfig, InvalidInput, NoRootBracketed
-from .problems import builtin_problems, get_problem
+from .errors import (
+    ConfigError,
+    EvaluationError,
+    InvalidConfig,
+    InvalidInput,
+    InverseError,
+    NoRootBracketed,
+)
+from .problems import ProblemInstance, builtin_problems, get_problem
 from .solver import (
+    IterationTrace,
     Scheme,
     SolverConfig,
     Status,
+    _fmt,
     run_jungck_schaefer,
     run_picard,
     run_schaefer,
@@ -69,18 +80,10 @@ _STATUS_EXIT = {
     Status.DIVERGED: EXIT_VIOLATED,
 }
 
-_NORMS = {"l1": NormKind.L1, "l2": NormKind.L2, "linf": NormKind.LINF}
-_SCHEMES = {
-    "picard": Scheme.PICARD,
-    "schaefer": Scheme.SCHAEFER,
-    "jungck-schaefer": Scheme.JUNGCK_SCHAEFER,
-}
+_NORMS = {k.value: k for k in NormKind}
+_SCHEMES = {s.value: s for s in Scheme}
 _VARIANTS = {v.value: v for v in Variant}
 _SUM_MODES = {m.value: m for m in SumMode}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -216,6 +219,20 @@ def _summary_text(cfg: RunConfig, trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _solve(problem: ProblemInstance, cfg: SolverConfig) -> IterationTrace:
+    """Run the configured scheme on ``problem``; the one scheme dispatch."""
+    if cfg.scheme is Scheme.JUNGCK_SCHAEFER:
+        if not problem.is_pair:
+            raise ConfigError(
+                f"problem {problem.name!r} has no companion map; "
+                "jungck-schaefer needs a pair problem"
+            )
+        return run_jungck_schaefer(problem.pair(), cfg)
+    # resolved per call, so rebinding the module-level run_* names takes effect
+    run = run_picard if cfg.scheme is Scheme.PICARD else run_schaefer
+    return run(problem.f, cfg)
+
+
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
     problem = get_problem(cfg.problem)
@@ -231,18 +248,7 @@ def cmd_run(args) -> int:
         divergence_bound=cfg.divergence_bound,
         norm=cfg.norm,
     )
-    if cfg.scheme is Scheme.PICARD:
-        trace = run_picard(problem.f, solver_cfg)
-    elif cfg.scheme is Scheme.SCHAEFER:
-        trace = run_schaefer(problem.f, solver_cfg)
-    else:
-        if not problem.is_pair:
-            raise ConfigError(
-                f"problem {cfg.problem!r} has no companion map; "
-                "jungck-schaefer needs a pair problem"
-            )
-        trace = run_jungck_schaefer(problem.pair(), solver_cfg)
-
+    trace = _solve(problem, solver_cfg)
     Path(cfg.trace_path).write_text(trace.to_csv(include_coords=cfg.include_coords))
     summary = _summary_text(cfg, trace)
     Path(cfg.summary_path).write_text(summary)
@@ -254,28 +260,15 @@ def cmd_verify_contraction(args) -> int:
     problem = get_problem(args.problem)
     tag = _lookup(_VARIANTS, args.variant, "variant")
     triple = get_triple(args.triple) if args.triple else None
-    s_map = None
-    if tag in (Variant.JUNGCK_HARDY_ROGERS, Variant.CCLASS_JUNGCK_HARDY_ROGERS):
-        if not problem.is_pair:
-            raise ConfigError(
-                f"problem {args.problem!r} has no companion map; "
-                f"{tag.value} needs a pair problem"
-            )
-        s_map = problem.s
-    if tag in (Variant.CCLASS_HARDY_ROGERS, Variant.CCLASS_JUNGCK_HARDY_ROGERS) and triple is None:
-        raise ConfigError(f"{tag.value} needs --triple (see list-triples)")
-
+    # the variant rejects a missing triple (C-class) or a missing S (Jungck)
+    variant = ContractionVariant(tag, triple=triple, s_map=problem.s)
+    sum_mode = _EXPECTED_MODE[tag]
     if args.sum_mode is not None:
         sum_mode = _lookup(_SUM_MODES, args.sum_mode, "sum mode")
-    elif tag in (Variant.CCLASS_HARDY_ROGERS, Variant.CCLASS_JUNGCK_HARDY_ROGERS):
-        sum_mode = SumMode.EXACTLY_ONE
-    else:
-        sum_mode = SumMode.STRICTLY_LESS_ONE
     coeffs = Coefficients(
         delta=args.delta, c1=args.c1, c2=args.c2, c3=args.c3, c4=args.c4, c5=args.c5,
         sum_mode=sum_mode,
     )
-    variant = ContractionVariant(tag, triple=triple, s_map=s_map)
     lo, hi = (args.box if args.box else problem.box)
     sampler = PairSampler(
         dim=problem.f.dim, lo=lo, hi=hi, count=args.pairs, seed=args.seed
@@ -351,14 +344,7 @@ def cmd_sweep(args) -> int:
             scheme=scheme, seed_point=start, c=c, tol=args.tol,
             max_iter=args.max_iter, norm=_lookup(_NORMS, args.norm, "norm"),
         )
-        if scheme is Scheme.PICARD:
-            trace = run_picard(problem.f, cfg)
-        elif scheme is Scheme.SCHAEFER:
-            trace = run_schaefer(problem.f, cfg)
-        else:
-            if not problem.is_pair:
-                raise ConfigError(f"problem {args.problem!r} is not a pair problem")
-            trace = run_jungck_schaefer(problem.pair(), cfg)
+        trace = _solve(problem, cfg)
         rows.append(
             f"{_fmt(c)},{trace.wall_iterations},{trace.status.value},"
             f"{_fmt(trace.final_residual)}"
@@ -457,6 +443,10 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidConfig, InvalidInput, NoRootBracketed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (EvaluationError, InverseError) as exc:
+        # a map that fails to evaluate, or an inverse of S that fails its check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
 
 
 if __name__ == "__main__":

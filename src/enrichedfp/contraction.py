@@ -15,6 +15,7 @@ selection is first-in-order.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -25,12 +26,13 @@ from .cclass import (
     CClassTriple,
     Grid1D,
     Grid2D,
+    ValidationReport,
     validate_altering,
     validate_cclass,
     validate_phiu,
 )
 from .errors import InvalidConfig, InvalidInput
-from .space import Mapping, NormKind, Point, array_norm
+from .space import Mapping, NormKind, Point, array_norm, check_commuting
 
 __all__ = [
     "SumMode",
@@ -105,6 +107,22 @@ _EXPECTED_MODE = {
 }
 
 
+@functools.cache
+def _failed_component(triple: CClassTriple) -> Optional[ValidationReport]:
+    """The first component report of ``triple`` that fails, or None.
+
+    Triples are immutable, so each is validated once per process.
+    """
+    for report in (
+        validate_altering(triple.psi, Grid1D()),
+        validate_phiu(triple.phi, Grid1D()),
+        validate_cclass(triple.g, Grid2D()),
+    ):
+        if not report.passed:
+            return report
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ContractionVariant:
     """Which contraction class is being tested, plus its required companions.
@@ -121,16 +139,12 @@ class ContractionVariant:
         if self.tag in _CCLASS_TAGS:
             if self.triple is None:
                 raise InvalidConfig(f"{self.tag.value} requires a (psi, phi, G) triple")
-            for report in (
-                validate_altering(self.triple.psi, Grid1D()),
-                validate_phiu(self.triple.phi, Grid1D()),
-                validate_cclass(self.triple.g, Grid2D()),
-            ):
-                if not report.passed:
-                    raise InvalidConfig(
-                        f"triple component {report.subject!r} failed validation "
-                        f"({report.axiom} at {report.witness})"
-                    )
+            report = _failed_component(self.triple)
+            if report is not None:
+                raise InvalidConfig(
+                    f"triple component {report.subject!r} failed validation "
+                    f"({report.axiom} at {report.witness})"
+                )
         if self.tag in _JUNGCK_TAGS and self.s_map is None:
             raise InvalidConfig(f"{self.tag.value} requires the companion map S")
 
@@ -143,11 +157,33 @@ class ContractionVariant:
         return self.tag in _JUNGCK_TAGS
 
 
-def _check_dims(f: Mapping, u: Point, v: Point):
-    if u.dim != v.dim or u.dim != f.dim:
-        raise InvalidInput(
-            f"dimension mismatch: map {f.dim}, points {u.dim} and {v.dim}"
-        )
+def _sides(
+    f: Mapping,
+    s: Optional[Mapping],
+    u: np.ndarray,
+    v: np.ndarray,
+    coeffs: Coefficients,
+    k: NormKind,
+) -> tuple[float, float]:
+    """The one inequality kernel: (lhs, M) at raw (u, v), distances taken through S.
+
+    ``s=None`` stands for S = identity, which is the plain Hardy-Rogers form.
+    """
+    if u.shape != (f.dim,) or v.shape != (f.dim,):
+        raise InvalidInput(f"dimension mismatch: map {f.dim}, points {u.shape} and {v.shape}")
+    if s is not None and s.dim != f.dim:
+        raise InvalidInput(f"dimension mismatch: f {f.dim}, S {s.dim}")
+    fu, fv = f.apply(u), f.apply(v)
+    su, sv = (u, v) if s is None else (s.apply(u), s.apply(v))
+    lhs = array_norm(coeffs.delta * (su - sv) + fu - fv, k)
+    m = (
+        coeffs.c1 * array_norm(su - sv, k)
+        + coeffs.c2 * array_norm(su - fu, k)
+        + coeffs.c3 * array_norm(su - fv, k)
+        + coeffs.c4 * array_norm(sv - fu, k)
+        + coeffs.c5 * array_norm(sv - fv, k)
+    )
+    return lhs, m
 
 
 def hr_sides(
@@ -158,18 +194,7 @@ def hr_sides(
     k: NormKind = NormKind.L2,
 ) -> tuple[float, float]:
     """Left and right sides of the enriched Hardy-Rogers inequality at (u, v)."""
-    _check_dims(f, u, v)
-    ua, va = u.as_array(), v.as_array()
-    fu, fv = f.apply(ua), f.apply(va)
-    lhs = array_norm(coeffs.delta * (ua - va) + fu - fv, k)
-    rhs = (
-        coeffs.c1 * array_norm(ua - va, k)
-        + coeffs.c2 * array_norm(ua - fu, k)
-        + coeffs.c3 * array_norm(ua - fv, k)
-        + coeffs.c4 * array_norm(va - fu, k)
-        + coeffs.c5 * array_norm(va - fv, k)
-    )
-    return lhs, rhs
+    return _sides(f, None, u.as_array(), v.as_array(), coeffs, k)
 
 
 def jungck_sides(
@@ -184,26 +209,31 @@ def jungck_sides(
 
     With S = identity this reduces to hr_sides exactly.
     """
-    _check_dims(f, u, v)
-    if s.dim != f.dim:
-        raise InvalidInput(f"dimension mismatch: f {f.dim}, S {s.dim}")
-    ua, va = u.as_array(), v.as_array()
-    fu, fv = f.apply(ua), f.apply(va)
-    su, sv = s.apply(ua), s.apply(va)
-    lhs = array_norm(coeffs.delta * (su - sv) + fu - fv, k)
-    rhs = (
-        coeffs.c1 * array_norm(su - sv, k)
-        + coeffs.c2 * array_norm(su - fu, k)
-        + coeffs.c3 * array_norm(su - fv, k)
-        + coeffs.c4 * array_norm(sv - fu, k)
-        + coeffs.c5 * array_norm(sv - fv, k)
-    )
-    return lhs, rhs
+    return _sides(f, s, u.as_array(), v.as_array(), coeffs, k)
 
 
-def _tol_band(lhs: float, rhs: float, tol: float) -> float:
+def _check_pair(
+    variant: ContractionVariant,
+    f: Mapping,
+    u: Point,
+    v: Point,
+    coeffs: Coefficients,
+    k: NormKind,
+    tol: float,
+) -> tuple[bool, float, float, float]:
+    """(holds, lhs, rhs, M) at one pair, for any variant.
+
+    The C-class forms compare psi(lhs) with G(psi(M), phi(M)); the plain
+    forms compare lhs with M itself.
+    """
+    s = variant.s_map if variant.is_jungck else None
+    lhs, m = _sides(f, s, u.as_array(), v.as_array(), coeffs, k)
+    rhs = m
+    if variant.is_cclass:
+        triple = variant.triple
+        lhs, rhs = triple.psi(lhs), triple.g(triple.psi(m), triple.phi(m))
     # tolerance is relative to the larger side, floored at absolute scale 1
-    return tol * max(abs(lhs), abs(rhs), 1.0)
+    return lhs <= rhs + tol * max(abs(lhs), abs(rhs), 1.0), lhs, rhs, m
 
 
 def cclass_check_pair(
@@ -222,15 +252,7 @@ def cclass_check_pair(
     """
     if not variant.is_cclass:
         raise InvalidConfig(f"{variant.tag.value} is not a C-class variant")
-    triple = variant.triple
-    if variant.tag is Variant.CCLASS_JUNGCK_HARDY_ROGERS:
-        lhs, m = jungck_sides(f, variant.s_map, u, v, coeffs, k)
-    else:
-        lhs, m = hr_sides(f, u, v, coeffs, k)
-    lhs_psi = triple.psi(lhs)
-    rhs_g = triple.g(triple.psi(m), triple.phi(m))
-    holds = lhs_psi <= rhs_g + _tol_band(lhs_psi, rhs_g, tol)
-    return holds, lhs_psi, rhs_g
+    return _check_pair(variant, f, u, v, coeffs, k, tol)[:3]
 
 
 def pair_holds(
@@ -243,13 +265,7 @@ def pair_holds(
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, float, float]:
     """Uniform per-pair check across all four variants: (holds, lhs, rhs)."""
-    if variant.is_cclass:
-        return cclass_check_pair(variant, f, u, v, coeffs, k, tol)
-    if variant.tag is Variant.JUNGCK_HARDY_ROGERS:
-        lhs, rhs = jungck_sides(f, variant.s_map, u, v, coeffs, k)
-    else:
-        lhs, rhs = hr_sides(f, u, v, coeffs, k)
-    return lhs <= rhs + _tol_band(lhs, rhs, tol), lhs, rhs
+    return _check_pair(variant, f, u, v, coeffs, k, tol)[:3]
 
 
 @dataclass(frozen=True)
@@ -383,22 +399,18 @@ def certify(
 
     pair_list = sampler.pairs()
     if variant.is_jungck:
-        _assert_commuting(f, variant.s_map, pair_list, tol)
+        samples = [Point.from_array(ua) for ua, _ in pair_list[:64]]
+        witness = check_commuting(f, variant.s_map, samples, tol).witness
+        if witness is not None:
+            raise InvalidConfig(f"companion map does not commute with f at {witness.coords}")
 
     m_zero_seen = False
     for idx, (ua, va) in enumerate(pair_list):
         u, v = Point.from_array(ua), Point.from_array(va)
-        holds, lhs, rhs = pair_holds(variant, f, u, v, coeffs, k, tol)
-        if variant.is_cclass and not m_zero_seen:
-            # recompute the aggregate to flag the undefined M = 0 corner
-            _, m = (
-                jungck_sides(f, variant.s_map, u, v, coeffs, k)
-                if variant.tag is Variant.CCLASS_JUNGCK_HARDY_ROGERS
-                else hr_sides(f, u, v, coeffs, k)
-            )
-            if m <= tol:
-                m_zero_seen = True
-                warnings.append("aggregate sum M = 0 encountered; G(psi(0), phi(0)) decides")
+        holds, lhs, rhs, m = _check_pair(variant, f, u, v, coeffs, k, tol)
+        if variant.is_cclass and not m_zero_seen and m <= tol:
+            m_zero_seen = True
+            warnings.append("aggregate sum M = 0 encountered; G(psi(0), phi(0)) decides")
         if not holds:
             return ContractionCertificate(
                 variant=variant.tag,
@@ -423,16 +435,3 @@ def certify(
         warnings=tuple(warnings),
     )
 
-
-def _assert_commuting(f: Mapping, s: Mapping, pair_list, tol: float):
-    """Sampled commutation of (f, S) over the certification points."""
-    seen = 0
-    for ua, _ in pair_list:
-        gap = array_norm(f.apply(s.apply(ua)) - s.apply(f.apply(ua)))
-        if gap > tol * max(1.0, array_norm(ua)):
-            raise InvalidConfig(
-                f"companion map does not commute with f at {tuple(ua)} (gap {gap:g})"
-            )
-        seen += 1
-        if seen >= 64:
-            break

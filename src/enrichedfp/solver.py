@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidConfig, InvalidInput, InverseError
-from .space import Mapping, NormKind, Point, array_norm, distance
+from .errors import InvalidConfig, InvalidInput, InverseError
+from .space import Mapping, NormKind, Point, array_norm, check_commuting, distance
 
 __all__ = [
     "Scheme",
@@ -147,71 +147,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _drive(
-    scheme: Scheme,
-    u0: Point,
-    cfg: SolverConfig,
-    advance: Callable[[np.ndarray, int], tuple[np.ndarray, float]],
-) -> IterationTrace:
-    """Common loop: advance, record, then test tol / divergence / budget."""
-    x = u0.as_array()
-    iterates = [u0]
-    residuals: list[float] = []
-    status = Status.MAX_ITER_EXCEEDED
-    diverged_at = None
-    for n in range(1, cfg.max_iter + 1):
-        x_new, r = advance(x, n)
-        if not np.all(np.isfinite(x_new)):
-            raise EvaluationError(f"iterate became non-finite at iteration {n}", n)
-        iterates.append(Point.from_array(x_new))
-        residuals.append(r)
-        if r <= cfg.tol:
-            status = Status.CONVERGED
-            break
-        if array_norm(x_new, cfg.norm) > cfg.divergence_bound:
-            status = Status.DIVERGED
-            diverged_at = n
-            break
-        x = x_new
-    return IterationTrace(
-        scheme=scheme,
-        iterates=tuple(iterates),
-        residuals=tuple(residuals),
-        status=status,
-        diverged_at=diverged_at,
-    )
-
-
 def run_picard(f: Mapping, cfg: SolverConfig) -> IterationTrace:
-    """Successive approximation u_{n+1} = f(u_n)."""
-    if cfg.scheme is not Scheme.PICARD:
-        raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected picard")
-    _check_seed(f, cfg)
+    """Successive approximation u_{n+1} = f(u_n): the averaged scheme with c = 1.
 
-    def advance(x, _n):
-        x_new = f.apply(x)
-        return x_new, array_norm(x_new - x, cfg.norm)
-
-    return _drive(Scheme.PICARD, cfg.seed_point, cfg, advance)
+    ``cfg.c`` is ignored.
+    """
+    return _iterate(Scheme.PICARD, f, cfg)
 
 
 def run_schaefer(f: Mapping, cfg: SolverConfig) -> IterationTrace:
-    """Averaged iteration u_n = (1-c) u_{n-1} + c f(u_{n-1}).
+    """Averaged iteration u_n = (1-c) u_{n-1} + c f(u_{n-1}): the pair scheme with S = I.
 
     With c = 1 the arithmetic reduces to f exactly, so the trace coincides
     with the Picard trace coordinate for coordinate.
     """
-    if cfg.scheme is not Scheme.SCHAEFER:
-        raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected schaefer")
-    _check_seed(f, cfg)
-    c = cfg.c
-
-    def advance(x, _n):
-        fx = f.apply(x)
-        x_new = fx if c == 1.0 else (1.0 - c) * x + c * fx
-        return x_new, array_norm(x_new - x, cfg.norm)
-
-    return _drive(Scheme.SCHAEFER, cfg.seed_point, cfg, advance)
+    return _iterate(Scheme.SCHAEFER, f, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +204,9 @@ class PairProblem:
             back = self.s_inverse(self.s.apply(x))
             if array_norm(back - x) > tol * max(1.0, array_norm(x)):
                 raise InvalidInput(f"s_inverse(S(p)) != p at {p.coords}")
-            gap = array_norm(self.f.apply(self.s.apply(x)) - self.s.apply(self.f.apply(x)))
-            if gap > tol * max(1.0, array_norm(x)):
-                raise InvalidInput(f"f and S do not commute at {p.coords} (gap {gap:g})")
+        witness = check_commuting(self.f, self.s, points, tol).witness
+        if witness is not None:
+            raise InvalidInput(f"f and S do not commute at {witness.coords}")
 
 
 def run_jungck_schaefer(p: PairProblem, cfg: SolverConfig) -> IterationTrace:
@@ -268,39 +218,64 @@ def run_jungck_schaefer(p: PairProblem, cfg: SolverConfig) -> IterationTrace:
     With S = identity the arithmetic, and hence the trace, matches the
     averaged scheme exactly.
     """
-    if cfg.scheme is not Scheme.JUNGCK_SCHAEFER:
-        raise InvalidConfig(
-            f"config scheme is {cfg.scheme.value}, expected jungck-schaefer"
-        )
-    _check_seed(p.f, cfg)
-    c = cfg.c
-    state = {"su": p.s.apply(cfg.seed_point.as_array())}
-
-    def advance(x, n):
-        su = state["su"]
-        fu = p.f.apply(x)
-        if p.range_check:
-            reachable = p.s.apply(p.s_inverse(fu))
-            if array_norm(reachable - fu) > cfg.tol * max(1.0, array_norm(fu)):
-                raise InverseError(
-                    f"f(u_{n - 1}) is not reproducible in the range of S", n
-                )
-        w = fu if c == 1.0 else (1.0 - c) * su + c * fu
-        x_new = np.asarray(p.s_inverse(w), dtype=float)
-        su_new = p.s.apply(x_new)
-        if array_norm(su_new - w) > cfg.tol * max(1.0, array_norm(w)):
-            raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
-        state["su"] = su_new
-        return x_new, array_norm(su_new - su, cfg.norm)
-
-    return _drive(Scheme.JUNGCK_SCHAEFER, cfg.seed_point, cfg, advance)
+    return _iterate(Scheme.JUNGCK_SCHAEFER, p.f, cfg, p)
 
 
-def _check_seed(f: Mapping, cfg: SolverConfig):
+def _iterate(
+    scheme: Scheme, f: Mapping, cfg: SolverConfig, pair: Optional[PairProblem] = None
+) -> IterationTrace:
+    """The one stepping loop: S u_{n+1} = (1-c) S u_n + c f(u_n), S = I without a pair.
+
+    Records each iterate, then tests tol / divergence / budget.  An iterate
+    that overflows to a non-finite value is divergence; the trace then ends
+    at the last finite iterate.
+    """
+    if cfg.scheme is not scheme:
+        raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected {scheme.value}")
     if cfg.seed_point.dim != f.dim:
         raise InvalidInput(
             f"seed point dimension {cfg.seed_point.dim} != map dimension {f.dim}"
         )
+    c = 1.0 if scheme is Scheme.PICARD else cfg.c
+    x = cfg.seed_point.as_array()
+    sx = x if pair is None else pair.s.apply(x)
+    iterates = [cfg.seed_point]
+    residuals: list[float] = []
+    status = Status.MAX_ITER_EXCEEDED
+    diverged_at = None
+    for n in range(1, cfg.max_iter + 1):
+        fx = f.apply(x)
+        if pair is not None and pair.range_check:
+            reachable = pair.s.apply(pair.s_inverse(fx))
+            if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
+                raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
+        w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
+        x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
+        if not np.all(np.isfinite(x_new)):
+            status = Status.DIVERGED
+            diverged_at = n
+            break
+        sx_new = x_new if pair is None else pair.s.apply(x_new)
+        if pair is not None and array_norm(sx_new - w) > cfg.tol * max(1.0, array_norm(w)):
+            raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
+        r = array_norm(sx_new - sx, cfg.norm)
+        iterates.append(Point.from_array(x_new))
+        residuals.append(r)
+        if r <= cfg.tol:
+            status = Status.CONVERGED
+            break
+        if array_norm(x_new, cfg.norm) > cfg.divergence_bound:
+            status = Status.DIVERGED
+            diverged_at = n
+            break
+        x, sx = x_new, sx_new
+    return IterationTrace(
+        scheme=scheme,
+        iterates=tuple(iterates),
+        residuals=tuple(residuals),
+        status=status,
+        diverged_at=diverged_at,
+    )
 
 
 def verdict_fixed_point(

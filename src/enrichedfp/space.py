@@ -27,7 +27,6 @@ __all__ = [
     "norm",
     "array_norm",
     "distance",
-    "averaged_apply",
     "check_commuting",
 ]
 
@@ -184,16 +183,6 @@ class Mapping:
             label=label,
         )
 
-    @classmethod
-    def from_vector(
-        cls,
-        f: Callable[[np.ndarray], np.ndarray],
-        dim: int,
-        known_fixed_point: Optional[Point] = None,
-        label: str = "",
-    ) -> "Mapping":
-        return cls(fn=f, dim=dim, known_fixed_point=known_fixed_point, label=label)
-
 
 @dataclass(frozen=True, eq=False)
 class AveragedMap:
@@ -248,11 +237,6 @@ class AveragedMap:
         )
 
 
-def averaged_apply(m: AveragedMap, u: Point) -> Point:
-    """Evaluate the averaged map at u: (1-c) u + c base(u)."""
-    return m(u)
-
-
 class CommuteResult(NamedTuple):
     commutes: bool
     witness: Optional[Point]
@@ -265,9 +249,10 @@ def check_commuting(
     tol: float = 1e-9,
     k: NormKind = NormKind.L2,
 ) -> CommuteResult:
-    """Sampled commutation check: ||f(s(p)) - s(f(p))|| <= tol at every sample.
+    """Sampled commutation check: ||f(s(p)) - s(f(p))|| <= tol * max(1, ||p||) at every sample.
 
-    Returns the first violating sample as witness on failure.
+    The tolerance is relative at large scale, where an absolute gap means
+    nothing.  Returns the first violating sample as witness on failure.
     """
     if f.dim != s.dim:
         raise InvalidInput(f"dimension mismatch: {f.dim} vs {s.dim}")
@@ -275,6 +260,6 @@ def check_commuting(
         raise InvalidInput("commuting check needs at least one sample point")
     for p in samples:
         gap = distance(f(s(p)), s(f(p)), k)
-        if gap > tol:
+        if gap > tol * max(1.0, norm(p, k)):
             return CommuteResult(False, p)
     return CommuteResult(True, None)

@@ -87,6 +87,17 @@ class TestRun:
         assert code == EXIT_OK
         assert abs(float(_summary_fields()["limit"])) < 1e-9
 
+    def test_overflow_is_divergence(self):
+        # 2^1024 overflows before any finite bound is crossed
+        code = main(["run", "--problem", "doubling", "--scheme", "picard", "--start", "1",
+                     "--divergence-bound", "1e400"])
+        assert code == EXIT_VIOLATED
+        fields = _summary_fields()
+        assert fields["status"] == "diverged"
+        assert fields["iterations"] == "1023"
+        last_row = open("trace.csv").read().splitlines()[-1]
+        assert last_row == f"1023,{2.0**1022:.17g},{2.0**1023:.17g}"
+
     def test_rerun_byte_identical(self):
         args = ["run", "--problem", "half-map", "--scheme", "schaefer",
                 "--c", "0.25", "--start", "3"]
@@ -166,6 +177,14 @@ class TestVerifyContraction:
         assert code in (EXIT_OK, EXIT_VIOLATED)
         report = json.load(open("certificate.json"))
         assert report["outcome"] == "violated"  # psi(0.5) > 0 = G(psi(1), phi(1))
+
+    def test_failing_evaluation_is_exit_3(self, capsys):
+        # psi squares a sampled distance near 1e308 to infinity
+        code = main(["verify-contraction", "--problem", "doubling",
+                     "--variant", "cclass-hardy-rogers", "--c1", "1.0",
+                     "--triple", "example-2.5-monotone", "--box", "1e300", "1e308"])
+        assert code == EXIT_VIOLATED
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_sum_mode_mismatch(self):
         code = main(["verify-contraction", "--problem", "half-map",

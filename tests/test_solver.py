@@ -95,6 +95,15 @@ class TestPicard:
         assert abs(trace.last.coords[0]) > 1e6
 
 
+    def test_overflow_ends_trace_at_last_finite_iterate(self):
+        doubling = Mapping.affine([[2.0]], [0.0])
+        trace = run_picard(doubling, _cfg(Scheme.PICARD, (1.0,), divergence_bound=np.inf))
+        assert trace.status is Status.DIVERGED
+        assert trace.diverged_at == 1024
+        assert trace.last == Point.of(2.0**1023)
+        assert trace.wall_iterations == 1023
+
+
 class TestSchaefer:
     def test_reflection_constant_averaged_map(self):
         trace = run_schaefer(_reflection(), _cfg(Scheme.SCHAEFER, (0.0,), c=0.5))

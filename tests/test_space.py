@@ -11,7 +11,6 @@ from enrichedfp.space import (
     Mapping,
     NormKind,
     Point,
-    averaged_apply,
     check_commuting,
     distance,
     norm,
@@ -87,19 +86,19 @@ def _reflection():
 
 def test_averaged_apply_reflection_half():
     m = AveragedMap(_reflection(), 0.5)
-    assert averaged_apply(m, Point.of(0.0)) == Point.of(0.5)
+    assert m(Point.of(0.0)) == Point.of(0.5)
 
 
 def test_averaged_apply_c1_collapses_to_base():
     f = Mapping.from_scalar(lambda x: math.cos(x) + 2.0)
     m = AveragedMap(f, 1.0)
     for x in (-1.3, 0.0, 2.7):
-        assert averaged_apply(m, Point.of(x)) == f(Point.of(x))
+        assert m(Point.of(x)) == f(Point.of(x))
 
 
 def test_averaged_apply_identity_base():
     m = AveragedMap(Mapping.identity(1), 0.37)
-    assert averaged_apply(m, Point.of(7.0)) == Point.of(7.0)
+    assert m(Point.of(7.0)) == Point.of(7.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -0.1, 1.5])
@@ -134,7 +133,7 @@ def test_fixed_point_of_base_is_fixed_under_averaging():
     star = Point.of(0.5)
     assert f(star) == star
     for c in (0.1, 0.5, 1.0):
-        assert averaged_apply(AveragedMap(f, c), star) == star
+        assert AveragedMap(f, c)(star) == star
 
 
 def test_averaged_is_affine_in_c():
@@ -143,7 +142,7 @@ def test_averaged_is_affine_in_c():
     u = Point.of(-2.0)
     fu = f(u).coords[0]
     for c in (0.25, 0.5, 0.75, 1.0):
-        got = averaged_apply(AveragedMap(f, c), u).coords[0]
+        got = AveragedMap(f, c)(u).coords[0]
         assert got == pytest.approx((1 - c) * u.coords[0] + c * fu, rel=1e-15)
     a, b = AveragedMap(f, 0.2), AveragedMap(f, 0.8)
     mid = AveragedMap(f, 0.5)
@@ -157,7 +156,7 @@ def test_averaged_as_mapping_preserves_affinity():
     m = AveragedMap(f, 0.25).as_mapping()
     assert m.is_affine
     p = Point.of(1.5, -2.0)
-    direct = averaged_apply(AveragedMap(f, 0.25), p)
+    direct = AveragedMap(f, 0.25)(p)
     assert np.allclose(m(p).as_array(), direct.as_array())
 
 
