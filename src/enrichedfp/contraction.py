@@ -9,7 +9,9 @@ psi(lhs) <= G(psi(M), phi(M)) where M is the same weighted sum.
 Certification samples pairs from a box: a deterministic structured set
 (diagonal, coordinate axes, near-coincident pairs) followed by seeded uniform
 pairs, so certificates reproduce exactly for a given seed and witness
-selection is first-in-order.
+selection is first-in-order.  Pairs are evaluated in row blocks whose rows
+are bit-identical to a pair-by-pair evaluation, so the outcome, witness,
+``pairs_checked`` and warnings equal those of a pair-by-pair scan.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .cclass import (
     validate_phiu,
 )
 from .errors import InvalidConfig, InvalidInput
-from .space import Mapping, NormKind, Point, array_norm, check_commuting
+from .space import Mapping, NormKind, Point, check_commuting, row_norms
 
 __all__ = [
     "SumMode",
@@ -50,6 +52,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 EXACTLY_ONE_SLACK = 1e-12
+# certify checks 64 pairs first, so an early violation costs one small block;
+# later blocks double, up to about _CHUNK_FLOATS coordinates per block
+_FIRST_CHUNK = 64
+_CHUNK_FLOATS = 8192
+# near-coincident structured pairs sit this fraction of the box width apart
+_NEAR = 1e-8
 
 
 class SumMode(enum.Enum):
@@ -71,6 +79,9 @@ class Coefficients:
 
     def __post_init__(self):
         cs = (self.c1, self.c2, self.c3, self.c4, self.c5)
+        # an infinite or NaN coefficient makes every comparison meaningless
+        if not np.isfinite((self.delta,) + cs).all():
+            raise InvalidInput("delta and all weights must be finite")
         if self.delta < 0 or any(c < 0 for c in cs):
             raise InvalidInput("delta and all weights must be non-negative")
         total = sum(cs)
@@ -160,30 +171,65 @@ class ContractionVariant:
 def _sides(
     f: Mapping,
     s: Optional[Mapping],
+    us: np.ndarray,
+    vs: np.ndarray,
+    coeffs: Coefficients,
+    k: NormKind,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one inequality kernel: (lhs, M) for each row pair of (N, dim) blocks.
+
+    Distances are taken through S; ``s=None`` stands for S = identity, which
+    is the plain Hardy-Rogers form.  Row i is bit-identical to the kernel on
+    the one-row block of pair i.
+    """
+    if us.ndim != 2 or us.shape != vs.shape or us.shape[1] != f.dim:
+        raise InvalidInput(
+            f"dimension mismatch: map {f.dim}, points {us.shape[1:]} and {vs.shape[1:]}"
+        )
+    if s is not None and s.dim != f.dim:
+        raise InvalidInput(f"dimension mismatch: f {f.dim}, S {s.dim}")
+    # a block holds rows past the pair that decides a certificate, so overflow
+    # there must not warn; non-finite sides reach the certificate as values
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu, fv = f.apply_batch(us), f.apply_batch(vs)
+        su, sv = (us, vs) if s is None else (s.apply_batch(us), s.apply_batch(vs))
+        lhs = row_norms(coeffs.delta * (su - sv) + fu - fv, k)
+        m = (
+            coeffs.c1 * row_norms(su - sv, k)
+            + coeffs.c2 * row_norms(su - fu, k)
+            + coeffs.c3 * row_norms(su - fv, k)
+            + coeffs.c4 * row_norms(sv - fu, k)
+            + coeffs.c5 * row_norms(sv - fv, k)
+        )
+    return lhs, m
+
+
+def _pair_sides(
+    f: Mapping,
+    s: Optional[Mapping],
     u: np.ndarray,
     v: np.ndarray,
     coeffs: Coefficients,
     k: NormKind,
 ) -> tuple[float, float]:
-    """The one inequality kernel: (lhs, M) at raw (u, v), distances taken through S.
+    """(lhs, M) at one raw pair, through the kernel as a one-row block."""
+    lhs, m = _sides(f, s, u[None], v[None], coeffs, k)
+    return float(lhs[0]), float(m[0])
 
-    ``s=None`` stands for S = identity, which is the plain Hardy-Rogers form.
+
+def _judge(
+    triple: Optional[CClassTriple], lhs: float, m: float, tol: float
+) -> tuple[bool, float, float]:
+    """(holds, lhs, rhs) from the kernel's (lhs, M): the one decision expression.
+
+    The C-class forms, given their ``triple``, compare psi(lhs) with
+    G(psi(M), phi(M)); the plain forms (``triple=None``) compare lhs with M.
     """
-    if u.shape != (f.dim,) or v.shape != (f.dim,):
-        raise InvalidInput(f"dimension mismatch: map {f.dim}, points {u.shape} and {v.shape}")
-    if s is not None and s.dim != f.dim:
-        raise InvalidInput(f"dimension mismatch: f {f.dim}, S {s.dim}")
-    fu, fv = f.apply(u), f.apply(v)
-    su, sv = (u, v) if s is None else (s.apply(u), s.apply(v))
-    lhs = array_norm(coeffs.delta * (su - sv) + fu - fv, k)
-    m = (
-        coeffs.c1 * array_norm(su - sv, k)
-        + coeffs.c2 * array_norm(su - fu, k)
-        + coeffs.c3 * array_norm(su - fv, k)
-        + coeffs.c4 * array_norm(sv - fu, k)
-        + coeffs.c5 * array_norm(sv - fv, k)
-    )
-    return lhs, m
+    rhs = m
+    if triple is not None:
+        lhs, rhs = triple.psi(lhs), triple.g(triple.psi(m), triple.phi(m))
+    # tolerance is relative to the larger side, floored at absolute scale 1
+    return lhs <= rhs + tol * max(abs(lhs), abs(rhs), 1.0), lhs, rhs
 
 
 def hr_sides(
@@ -194,7 +240,7 @@ def hr_sides(
     k: NormKind = NormKind.L2,
 ) -> tuple[float, float]:
     """Left and right sides of the enriched Hardy-Rogers inequality at (u, v)."""
-    return _sides(f, None, u.as_array(), v.as_array(), coeffs, k)
+    return _pair_sides(f, None, u.as_array(), v.as_array(), coeffs, k)
 
 
 def jungck_sides(
@@ -209,31 +255,7 @@ def jungck_sides(
 
     With S = identity this reduces to hr_sides exactly.
     """
-    return _sides(f, s, u.as_array(), v.as_array(), coeffs, k)
-
-
-def _check_pair(
-    variant: ContractionVariant,
-    f: Mapping,
-    u: Point,
-    v: Point,
-    coeffs: Coefficients,
-    k: NormKind,
-    tol: float,
-) -> tuple[bool, float, float, float]:
-    """(holds, lhs, rhs, M) at one pair, for any variant.
-
-    The C-class forms compare psi(lhs) with G(psi(M), phi(M)); the plain
-    forms compare lhs with M itself.
-    """
-    s = variant.s_map if variant.is_jungck else None
-    lhs, m = _sides(f, s, u.as_array(), v.as_array(), coeffs, k)
-    rhs = m
-    if variant.is_cclass:
-        triple = variant.triple
-        lhs, rhs = triple.psi(lhs), triple.g(triple.psi(m), triple.phi(m))
-    # tolerance is relative to the larger side, floored at absolute scale 1
-    return lhs <= rhs + tol * max(abs(lhs), abs(rhs), 1.0), lhs, rhs, m
+    return _pair_sides(f, s, u.as_array(), v.as_array(), coeffs, k)
 
 
 def cclass_check_pair(
@@ -252,7 +274,7 @@ def cclass_check_pair(
     """
     if not variant.is_cclass:
         raise InvalidConfig(f"{variant.tag.value} is not a C-class variant")
-    return _check_pair(variant, f, u, v, coeffs, k, tol)[:3]
+    return pair_holds(variant, f, u, v, coeffs, k, tol)
 
 
 def pair_holds(
@@ -265,7 +287,9 @@ def pair_holds(
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, float, float]:
     """Uniform per-pair check across all four variants: (holds, lhs, rhs)."""
-    return _check_pair(variant, f, u, v, coeffs, k, tol)[:3]
+    s = variant.s_map if variant.is_jungck else None
+    triple = variant.triple if variant.is_cclass else None
+    return _judge(triple, *_pair_sides(f, s, u.as_array(), v.as_array(), coeffs, k), tol)
 
 
 @dataclass(frozen=True)
@@ -289,6 +313,10 @@ class PairSampler:
             raise InvalidInput("sampler dimension must be positive")
         if not self.lo < self.hi:
             raise InvalidInput(f"empty sampling box [{self.lo}, {self.hi}]")
+        # the extreme coordinates sampled: lo, the midpoint and hi nudged by _NEAR
+        extremes = [self.lo, 0.5 * (self.lo + self.hi), self.hi + _NEAR * (self.hi - self.lo)]
+        if not np.isfinite(extremes).all():
+            raise InvalidInput(f"sampling box [{self.lo}, {self.hi}] yields non-finite points")
         if self.count < 0:
             raise InvalidInput("negative pair count")
 
@@ -307,18 +335,27 @@ class PairSampler:
             e[i] = 1.0
             pairs.append((lo * e, hi * e))
             pairs.append((zeros, hi * e))
-        eps = 1e-8 * (hi - lo)
+        eps = _NEAR * (hi - lo)
         for base in (zeros, mid * ones, hi * ones):
             shifted = base.copy()
             shifted[0] += eps
             pairs.append((base, shifted))
         return pairs
 
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The structured prefix, then the uniform pairs, as two (us, vs) row blocks.
+
+        They stay apart because joining them would copy every uniform pair.
+        """
+        pre = self.structured()
         rng = np.random.default_rng(self.seed)
         us = rng.uniform(self.lo, self.hi, size=(self.count, self.dim))
         vs = rng.uniform(self.lo, self.hi, size=(self.count, self.dim))
-        return self.structured() + [(us[i], vs[i]) for i in range(self.count)]
+        return (np.array([u for u, _ in pre]), np.array([v for _, v in pre])), (us, vs)
+
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every pair in sampler order, one (u, v) per entry."""
+        return [(u, v) for us, vs in self.blocks() for u, v in zip(us, vs)]
 
 
 @dataclass(frozen=True)
@@ -358,14 +395,53 @@ class ContractionCertificate:
             else {
                 "u": list(self.witness_u.coords),
                 "v": list(self.witness_v.coords),
-                "lhs": self.witness_lhs,
-                "rhs": self.witness_rhs,
+                "lhs": _json_float(self.witness_lhs),
+                "rhs": _json_float(self.witness_rhs),
             },
             "warnings": list(self.warnings),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+
+
+def _json_float(x: float):
+    """``x`` when finite, else the string "inf", "-inf" or "nan": JSON has no such numbers."""
+    return x if np.isfinite(x) else str(x)
+
+
+def _chunks(blocks: tuple[tuple[np.ndarray, np.ndarray], ...], dim: int):
+    """The (us, vs) row blocks cut into chunks, in pair order.
+
+    The first chunk has _FIRST_CHUNK rows; each next one doubles, up to about
+    _CHUNK_FLOATS / dim rows.
+    """
+    cap = max(1, _CHUNK_FLOATS // dim)
+    rows = min(_FIRST_CHUNK, cap)
+    for us, vs in blocks:
+        start = 0
+        while start < len(us):
+            yield us[start:start + rows], vs[start:start + rows]
+            start += rows
+            rows = min(2 * rows, cap)
+
+
+def _chunk_sides(
+    f: Mapping,
+    s: Optional[Mapping],
+    us: np.ndarray,
+    vs: np.ndarray,
+    coeffs: Coefficients,
+    k: NormKind,
+):
+    """(lhs, M) as floats for each row pair of a chunk, in row order."""
+    try:
+        lhs, m = _sides(f, s, us, vs, coeffs, k)
+    except Exception:
+        # a map may fail on some row; redo the chunk pair by pair, so that the
+        # first violation or the first error, in pair order, decides
+        return (_pair_sides(f, s, u, v, coeffs, k) for u, v in zip(us, vs))
+    return zip(lhs.tolist(), m.tolist())
 
 
 def certify(
@@ -379,9 +455,14 @@ def certify(
     """Batch-check the contraction inequality over all sampled pairs.
 
     Satisfied iff every pair holds; otherwise the first violation in sampler
-    order becomes the witness and scanning stops.  Results are a pure
-    function of (variant, f, coeffs, sampler, norm, tol).
+    order becomes the witness and scanning stops.  Pairs are evaluated in
+    chunks of rows, with the same outcome, witness, ``pairs_checked`` and
+    warnings as a pair-by-pair scan.  Results are a pure function of
+    (variant, f, coeffs, sampler, norm, tol).
     """
+    # a NaN, negative or infinite tolerance decides every pair the same way
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInput(f"tol must be finite and non-negative, got {tol}")
     expected_mode = _EXPECTED_MODE[variant.tag]
     if coeffs.sum_mode is not expected_mode:
         raise InvalidConfig(
@@ -397,41 +478,45 @@ def certify(
     if coeffs.sum_mode is SumMode.EXACTLY_ONE and coeffs.c2 == 0.0 and coeffs.c5 == 0.0:
         warnings.append("c2 = c5 = 0 under exactly-one mode: uniqueness bound degenerates")
 
-    pair_list = sampler.pairs()
-    if variant.is_jungck:
-        samples = [Point.from_array(ua) for ua, _ in pair_list[:64]]
-        witness = check_commuting(f, variant.s_map, samples, tol).witness
+    blocks = sampler.blocks()
+    s = variant.s_map if variant.is_jungck else None
+    if s is not None:
+        heads = np.concatenate([us[:64] for us, _ in blocks])[:64]
+        samples = [Point.from_array(ua) for ua in heads]
+        witness = check_commuting(f, s, samples, tol).witness
         if witness is not None:
             raise InvalidConfig(f"companion map does not commute with f at {witness.coords}")
 
+    triple = variant.triple if variant.is_cclass else None
     m_zero_seen = False
-    for idx, (ua, va) in enumerate(pair_list):
-        u, v = Point.from_array(ua), Point.from_array(va)
-        holds, lhs, rhs, m = _check_pair(variant, f, u, v, coeffs, k, tol)
-        if variant.is_cclass and not m_zero_seen and m <= tol:
-            m_zero_seen = True
-            warnings.append("aggregate sum M = 0 encountered; G(psi(0), phi(0)) decides")
-        if not holds:
-            return ContractionCertificate(
-                variant=variant.tag,
-                coeffs=coeffs,
-                norm=k,
-                seed=sampler.seed,
-                pairs_checked=idx + 1,
-                satisfied=False,
-                witness_u=u,
-                witness_v=v,
-                witness_lhs=lhs,
-                witness_rhs=rhs,
-                warnings=tuple(warnings),
-            )
+    checked = 0
+    for us, vs in _chunks(blocks, f.dim):
+        for i, (lhs, m) in enumerate(_chunk_sides(f, s, us, vs, coeffs, k)):
+            checked += 1
+            holds, lhs, rhs = _judge(triple, lhs, m, tol)
+            if triple is not None and not m_zero_seen and m <= tol:
+                m_zero_seen = True
+                warnings.append("aggregate sum M = 0 encountered; G(psi(0), phi(0)) decides")
+            if not holds:
+                return ContractionCertificate(
+                    variant=variant.tag,
+                    coeffs=coeffs,
+                    norm=k,
+                    seed=sampler.seed,
+                    pairs_checked=checked,
+                    satisfied=False,
+                    witness_u=Point.from_array(us[i]),
+                    witness_v=Point.from_array(vs[i]),
+                    witness_lhs=lhs,
+                    witness_rhs=rhs,
+                    warnings=tuple(warnings),
+                )
     return ContractionCertificate(
         variant=variant.tag,
         coeffs=coeffs,
         norm=k,
         seed=sampler.seed,
-        pairs_checked=len(pair_list),
+        pairs_checked=checked,
         satisfied=True,
         warnings=tuple(warnings),
     )
-

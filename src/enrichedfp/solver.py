@@ -81,11 +81,12 @@ class SolverConfig:
                     f"c = {self.c} inconsistent with delta = {self.delta} "
                     f"(expected {1.0 / (1.0 + self.delta)})"
                 )
-        if self.tol <= 0:
+        # written as "not > 0" so that NaN is rejected too; +inf stays legal
+        if not self.tol > 0:
             raise InvalidConfig("tol must be positive")
         if self.max_iter < 1:
             raise InvalidConfig("max_iter must be at least 1")
-        if self.divergence_bound <= 0:
+        if not self.divergence_bound > 0:
             raise InvalidConfig("divergence_bound must be positive")
 
     @classmethod

@@ -26,6 +26,7 @@ __all__ = [
     "CommuteResult",
     "norm",
     "array_norm",
+    "row_norms",
     "distance",
     "check_commuting",
 ]
@@ -84,6 +85,22 @@ def array_norm(arr: np.ndarray, k: NormKind = NormKind.L2) -> float:
     return float(np.linalg.norm(arr, ord=_NP_ORD[k]))
 
 
+def row_norms(block: np.ndarray, k: NormKind = NormKind.L2) -> np.ndarray:
+    """``array_norm`` of every row of an (N, d) block, with the same arithmetic per row.
+
+    Each entry equals ``array_norm(block[i], k)`` bit for bit: the reductions
+    run along the contiguous row, as they do on a single array.
+    """
+    if k is NormKind.L2:
+        m = np.max(np.abs(block), axis=1, initial=0.0)
+        scaled = (m != 0.0) & np.isfinite(m)
+        # a zero or non-finite row returns its max, as array_norm does
+        safe = np.where(scaled, m, 1.0)
+        out = safe * np.sqrt(np.sum(np.square(block / safe[:, None]), axis=1))
+        return np.where(scaled, out, m)
+    return np.linalg.norm(block, ord=_NP_ORD[k], axis=1)
+
+
 def norm(p: Point, k: NormKind = NormKind.L2) -> float:
     """L1/L2/Linf norm of a point."""
     return array_norm(p.as_array(), k)
@@ -126,6 +143,20 @@ class Mapping:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on a raw array without wrapping; used by inner loops."""
         return np.asarray(self.fn(x), dtype=float)
+
+    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Evaluate on every row of an (N, dim) block; row i equals ``apply(xs[i])`` bit for bit.
+
+        Affine maps take a stacked matrix-vector product, one gemv per row.
+        ``xs @ matrix.T`` would be a matrix-matrix product, which rounds rows
+        differently from ``matrix @ x``.  Other maps loop over the rows.
+        """
+        if self.is_affine:
+            return (self.matrix @ xs[:, :, None])[:, :, 0] + self.offset
+        out = np.empty(xs.shape)
+        for i, x in enumerate(xs):
+            out[i] = self.apply(x)
+        return out
 
     def __call__(self, p: Point) -> Point:
         if p.dim != self.dim:

@@ -98,6 +98,11 @@ class TestRun:
         last_row = open("trace.csv").read().splitlines()[-1]
         assert last_row == f"1023,{2.0**1022:.17g},{2.0**1023:.17g}"
 
+    @pytest.mark.parametrize("flag", ["--tol", "--divergence-bound"])
+    def test_nan_threshold_is_config_error(self, flag):
+        code = main(["run", "--problem", "half-map", "--scheme", "picard", flag, "nan"])
+        assert code == EXIT_CONFIG
+
     def test_rerun_byte_identical(self):
         args = ["run", "--problem", "half-map", "--scheme", "schaefer",
                 "--c", "0.25", "--start", "3"]
@@ -199,6 +204,32 @@ class TestVerifyContraction:
         first = open("certificate.json", "rb").read()
         main(args)
         assert open("certificate.json", "rb").read() == first
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "inf"],
+        ["--delta", "nan"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--box", "0", "1.7976931348623157e308"],
+    ], ids=["delta-inf", "delta-nan", "tol-nan", "tol-negative", "box-overflows"])
+    def test_meaningless_certificate_input_is_config_error(self, flags, capsys):
+        code = main(["verify-contraction", "--problem", "half-map",
+                     "--variant", "hardy-rogers", "--c1", "0.5", *flags])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonfinite_witness_values_are_json_strings(self):
+        code = main(["verify-contraction", "--problem", "doubling",
+                     "--variant", "hardy-rogers", "--c1", "0.9",
+                     "--box", "1e300", "1.7e308"])
+        assert code == EXIT_VIOLATED
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        witness = json.loads(open("certificate.json").read(), parse_constant=reject)["witness"]
+        assert (witness["lhs"], witness["rhs"]) == ("inf", "nan")
 
 
 class TestVerifyCClass:

@@ -62,6 +62,9 @@ CASES = {
     "hr-violated": (3, f"{_CERT} hardy-rogers --problem doubling --c1 0.9"),
     "hr-violated-l1": (
         3, f"{_CERT} hardy-rogers --problem affine-contraction-10d --c1 0.9 --norm l1"),
+    # 100-d, first violation at pair 86: past the first block of pairs
+    "hr-violated-100d-l1": (
+        3, f"{_CERT} hardy-rogers --problem random-affine:100:0.99:1 --c1 0.98 --norm l1"),
     "jhr-satisfied": (
         0, f"{_CERT} jungck-hardy-rogers --problem jungck-linear --c1 0.3 --pairs 32"),
     "jhr-violated": (3, f"{_CERT} jungck-hardy-rogers --problem jungck-linear --c1 0.1"),
@@ -72,6 +75,8 @@ CASES = {
     # G(psi(M), phi(M)) = 0 for the identity triple, so only a loose band passes
     "cjhr-satisfied": (0, f"{_CJHR} --triple identity-triple --tol 1 --pairs 32"),
     "cjhr-violated": (3, f"{_CJHR} --triple example-2.5-monotone"),
+    # a full 308-pair scan across several blocks, with both warnings
+    "cjhr-satisfied-300": (0, f"{_CJHR} --triple identity-triple --tol 1 --pairs 300"),
     # certificates: one per warning
     "chr-warn-c3-c4": (3, f"{_CHR} --c1 0.5 --c3 0.3 --c4 0.2 --triple identity-triple"),
     "chr-warn-m-zero": (
