@@ -55,6 +55,12 @@ def _eval_checked(fn, x, label):
     return y
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a NaN, infinite or negative band: each decides every grid comparison alike."""
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInput(f"tol must be finite and non-negative, got {tol}")
+
+
 @dataclass(frozen=True)
 class CClassFunction:
     """G(s, t) on [0, inf)^2 with the upper-bound and degeneracy axioms."""
@@ -179,6 +185,7 @@ def validate_cclass(
     any grid point in the equality band |G(s,t) - s| <= tol must have
     s <= tol or t <= tol.  First violation in row-major order wins.
     """
+    _check_tol(tol)
     axis = grid.axis()
     n = 0
     for s in axis:
@@ -198,6 +205,7 @@ def validate_altering(
     tol: float = DEFAULT_TOL,
 ) -> ValidationReport:
     """Check psi(0) = 0, positivity beyond tol, and non-decrease on the grid."""
+    _check_tol(tol)
     ts = grid.values()
     vals = np.array([psi(float(t)) for t in ts])
     n = len(ts)
@@ -221,6 +229,7 @@ def validate_phiu(
     tol: float = DEFAULT_TOL,
 ) -> ValidationReport:
     """Check phi(0) >= 0 and strict positivity at grid points beyond tol."""
+    _check_tol(tol)
     ts = grid.values()
     n = len(ts)
     zero = phi(0.0)
@@ -245,6 +254,7 @@ def validate_monotone_triple(
     the first violating pair ordered by y then x, which pins it to the start
     of the decreasing stretch regardless of how the scan is partitioned.
     """
+    _check_tol(tol)
     xs = grid.values()
     h = np.array(
         [triple.g(triple.psi(float(x)), triple.phi(float(x))) for x in xs]

@@ -214,7 +214,7 @@ def _summary_text(cfg: RunConfig, trace) -> str:
         f"scheme = {cfg.scheme.value}",
         f"c = {_fmt(cfg.c)}",
         "delta = " + (_fmt(cfg.delta) if cfg.delta is not None else "none"),
-        "seed = " + ",".join(_fmt(x) for x in trace.iterates[0].coords),
+        "seed = " + ",".join(_fmt(x) for x in trace.xs[0].tolist()),
     ]
     return "\n".join(lines) + "\n"
 

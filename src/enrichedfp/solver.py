@@ -14,6 +14,7 @@ stopping is evaluated after each full iteration.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -81,11 +82,12 @@ class SolverConfig:
                     f"c = {self.c} inconsistent with delta = {self.delta} "
                     f"(expected {1.0 / (1.0 + self.delta)})"
                 )
-        # written as "not > 0" so that NaN is rejected too; +inf stays legal
-        if not self.tol > 0:
-            raise InvalidConfig("tol must be positive")
+        # a NaN or +inf tol would stop every run at once; written so NaN fails too
+        if not 0 < self.tol < math.inf:
+            raise InvalidConfig(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidConfig("max_iter must be at least 1")
+        # +inf is legal: it leaves overflow as the only divergence test
         if not self.divergence_bound > 0:
             raise InvalidConfig("divergence_bound must be positive")
 
@@ -98,15 +100,24 @@ class SolverConfig:
                    delta=delta, **kw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Full record of a run: iterates (seed first), residuals, and the stop reason."""
+    """Full record of a run: iterates (seed first), residuals, and the stop reason.
+
+    ``xs`` holds iterate n in row n as a read-only float64 array; ``Point``s
+    are built only when ``iterates``, ``last`` or ``limit()`` is read.
+    """
 
     scheme: Scheme
-    iterates: tuple[Point, ...]
+    xs: np.ndarray
     residuals: tuple[float, ...]
     status: Status
     diverged_at: Optional[int] = None
+
+    @property
+    def iterates(self) -> tuple[Point, ...]:
+        """Every iterate as a ``Point``, seed first; built anew on each read."""
+        return tuple(Point.from_array(row) for row in self.xs)
 
     @property
     def wall_iterations(self) -> int:
@@ -118,11 +129,11 @@ class IterationTrace:
 
     def limit(self) -> Optional[Point]:
         """The converged limit, or None if the run did not converge."""
-        return self.iterates[-1] if self.status is Status.CONVERGED else None
+        return self.last if self.status is Status.CONVERGED else None
 
     @property
     def last(self) -> Point:
-        return self.iterates[-1]
+        return Point.from_array(self.xs[-1])
 
     def to_csv(self, include_coords: bool = True) -> str:
         """CSV body: iter, residual, then one column per coordinate.
@@ -130,18 +141,19 @@ class IterationTrace:
         17 significant digits, '.' decimal, no separators; iterate 0 has an
         empty residual field.  Byte-stable for fixed inputs.
         """
-        dim = self.iterates[0].dim
-        header = "iter,residual"
-        if include_coords:
-            header += "," + ",".join(f"x{i}" for i in range(dim))
-        lines = [header]
-        for n, p in enumerate(self.iterates):
-            res = "" if n == 0 else _fmt(self.residuals[n - 1])
-            row = f"{n},{res}"
-            if include_coords:
-                row += "," + ",".join(_fmt(x) for x in p.coords)
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        residuals = ("", *(_fmt(r) for r in self.residuals))
+        if not include_coords:
+            lines = ["iter,residual", *(f"{n},{res}" for n, res in enumerate(residuals))]
+        else:
+            dim = self.xs.shape[1]
+            lines = ["iter,residual," + ",".join(f"x{i}" for i in range(dim))]
+            # "%.17g" % x is f"{x:.17g}" for every float, one template per row
+            row_fmt = "%d,%s," + ",".join(["%.17g"] * dim)
+            lines += [row_fmt % (n, res, *row.tolist())
+                      for n, (res, row) in enumerate(zip(residuals, self.xs))]
+        # the empty last line ends the text with a newline without copying the joined text
+        lines.append("")
+        return "\n".join(lines)
 
 
 def _fmt(x: float) -> str:
@@ -171,15 +183,11 @@ class PairProblem:
 
     The pair scheme defines u_{n+1} only implicitly through S, so an explicit
     inverse is required; for affine S one is synthesized by linear solve.
-    ``range_check`` additionally verifies at every step that f(u_n) is
-    reproducible as S(S^{-1}(f(u_n))), the sampled stand-in for range
-    inclusion of f in S.
     """
 
     f: Mapping
     s: Mapping
     s_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    range_check: bool = True
 
     def __post_init__(self):
         if self.f.dim != self.s.dim:
@@ -229,7 +237,9 @@ def _iterate(
 
     Records each iterate, then tests tol / divergence / budget.  An iterate
     that overflows to a non-finite value is divergence; the trace then ends
-    at the last finite iterate.
+    at the last finite iterate.  With a pair, every step also checks that
+    f(u_n) is reproducible as S(S^{-1}(f(u_n))), the sampled stand-in for
+    range inclusion of f in S.
     """
     if cfg.scheme is not scheme:
         raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected {scheme.value}")
@@ -240,18 +250,23 @@ def _iterate(
     c = 1.0 if scheme is Scheme.PICARD else cfg.c
     x = cfg.seed_point.as_array()
     sx = x if pair is None else pair.s.apply(x)
-    iterates = [cfg.seed_point]
+    # row n holds iterate n; grown by doubling, so a huge max_iter costs nothing up front
+    xs = np.empty((min(cfg.max_iter, 1023) + 1, f.dim))
+    xs[0] = x
     residuals: list[float] = []
     status = Status.MAX_ITER_EXCEEDED
     diverged_at = None
     for n in range(1, cfg.max_iter + 1):
         fx = f.apply(x)
-        if pair is not None and pair.range_check:
+        if pair is not None:
             reachable = pair.s.apply(pair.s_inverse(fx))
             if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
                 raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
         w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
         x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
+        if x_new.shape != x.shape:
+            # a row store would broadcast a wrong-sized result silently
+            raise InvalidInput(f"iterate {n} has shape {x_new.shape}, expected {x.shape}")
         if not np.all(np.isfinite(x_new)):
             status = Status.DIVERGED
             diverged_at = n
@@ -260,7 +275,9 @@ def _iterate(
         if pair is not None and array_norm(sx_new - w) > cfg.tol * max(1.0, array_norm(w)):
             raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
         r = array_norm(sx_new - sx, cfg.norm)
-        iterates.append(Point.from_array(x_new))
+        if n == len(xs):
+            xs = np.concatenate((xs, np.empty_like(xs)))
+        xs[n] = x_new
         residuals.append(r)
         if r <= cfg.tol:
             status = Status.CONVERGED
@@ -270,9 +287,11 @@ def _iterate(
             diverged_at = n
             break
         x, sx = x_new, sx_new
+    xs = xs[: len(residuals) + 1]
+    xs.setflags(write=False)
     return IterationTrace(
         scheme=scheme,
-        iterates=tuple(iterates),
+        xs=xs,
         residuals=tuple(residuals),
         status=status,
         diverged_at=diverged_at,

@@ -11,6 +11,7 @@ iteration scheme on maps that Picard iteration cannot handle.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -75,14 +76,18 @@ class Point:
 
 def array_norm(arr: np.ndarray, k: NormKind = NormKind.L2) -> float:
     """Norm of a raw coordinate array (internal fast path, no validation)."""
+    # the ufunc reductions that np.max, np.sum and np.linalg.norm make, minus their
+    # dispatch; the reduction order, and so every bit of the result, is the same
     if k is NormKind.L2:
         # scale before squaring so subnormal coordinates cannot underflow to 0,
         # keeping norm(p) = 0 iff p = 0 exact
-        m = float(np.max(np.abs(arr), initial=0.0))
-        if m == 0.0 or not np.isfinite(m):
+        m = float(np.maximum.reduce(np.abs(arr), axis=None, initial=0.0))
+        if m == 0.0 or not math.isfinite(m):
             return m
-        return m * float(np.sqrt(np.sum(np.square(arr / m))))
-    return float(np.linalg.norm(arr, ord=_NP_ORD[k]))
+        return m * math.sqrt(np.add.reduce(np.square(arr / m), axis=None))
+    if k is NormKind.L1:
+        return float(np.add.reduce(np.abs(arr), axis=None))
+    return float(np.maximum.reduce(np.abs(arr), axis=None, initial=0.0))
 
 
 def row_norms(block: np.ndarray, k: NormKind = NormKind.L2) -> np.ndarray:

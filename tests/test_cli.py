@@ -98,9 +98,14 @@ class TestRun:
         last_row = open("trace.csv").read().splitlines()[-1]
         assert last_row == f"1023,{2.0**1022:.17g},{2.0**1023:.17g}"
 
-    @pytest.mark.parametrize("flag", ["--tol", "--divergence-bound"])
-    def test_nan_threshold_is_config_error(self, flag):
-        code = main(["run", "--problem", "half-map", "--scheme", "picard", flag, "nan"])
+    @pytest.mark.parametrize("flag,value", [
+        pytest.param("--tol", "nan", id="--tol"),
+        pytest.param("--divergence-bound", "nan", id="--divergence-bound"),
+        # an infinite tol would report convergence after one step of any map
+        pytest.param("--tol", "inf", id="--tol-inf"),
+    ])
+    def test_nan_threshold_is_config_error(self, flag, value):
+        code = main(["run", "--problem", "half-map", "--scheme", "picard", flag, value])
         assert code == EXIT_CONFIG
 
     def test_rerun_byte_identical(self):
@@ -252,6 +257,12 @@ class TestVerifyCClass:
 
     def test_unknown_triple(self):
         assert main(["verify-cclass", "--triple", "zzz"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("tol,code", [
+        ("nan", EXIT_CONFIG), ("inf", EXIT_CONFIG), ("-1", EXIT_CONFIG), ("0", EXIT_OK),
+    ])
+    def test_tol_must_be_finite_and_nonnegative(self, tol, code):
+        assert main(["verify-cclass", "--triple", "identity-triple", "--tol", tol]) == code
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enrichedfp.errors import InvalidConfig, InvalidInput, InverseError
 from enrichedfp.problems import get_problem
 from enrichedfp.solver import (
+    IterationTrace,
     PairProblem,
     Scheme,
     SolverConfig,
@@ -15,7 +18,7 @@ from enrichedfp.solver import (
     verdict_common_fixed_point,
     verdict_fixed_point,
 )
-from enrichedfp.space import Mapping, Point
+from enrichedfp.space import Mapping, NormKind, Point, array_norm
 
 
 def _half():
@@ -84,6 +87,11 @@ class TestPicard:
         assert trace.wall_iterations == 1
         assert trace.residuals == (0.0,)
         assert trace.limit() == Point.of(4.2)
+
+    def test_wrong_sized_map_output_rejected(self):
+        widening = Mapping(fn=lambda x: np.array([x[0], x[0]]), dim=1)
+        with pytest.raises(InvalidInput):
+            run_picard(widening, _cfg(Scheme.PICARD, (1.0,)))
 
     def test_divergence_detection(self):
         doubling = Mapping.affine([[2.0]], [0.0])
@@ -288,6 +296,129 @@ class TestTraceCsv:
         row = trace.to_csv().splitlines()[2]
         # 0.3 * 0.5 + 0.7 = 0.85: printed to full precision
         assert row.split(",")[2] == f"{0.85:.17g}"
+
+
+def _reference_iterate(scheme, f, cfg, pair=None):
+    """Reference stepping loop that keeps one ``Point`` per iterate."""
+    c = 1.0 if scheme is Scheme.PICARD else cfg.c
+    x = cfg.seed_point.as_array()
+    sx = x if pair is None else pair.s.apply(x)
+    iterates = [cfg.seed_point]
+    residuals = []
+    status = Status.MAX_ITER_EXCEEDED
+    diverged_at = None
+    for n in range(1, cfg.max_iter + 1):
+        fx = f.apply(x)
+        if pair is not None:
+            reachable = pair.s.apply(pair.s_inverse(fx))
+            if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
+                raise InverseError("range", n)
+        w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
+        x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
+        if not np.all(np.isfinite(x_new)):
+            status = Status.DIVERGED
+            diverged_at = n
+            break
+        sx_new = x_new if pair is None else pair.s.apply(x_new)
+        if pair is not None and array_norm(sx_new - w) > cfg.tol * max(1.0, array_norm(w)):
+            raise InverseError("inverse", n)
+        r = array_norm(sx_new - sx, cfg.norm)
+        iterates.append(Point.from_array(x_new))
+        residuals.append(r)
+        if r <= cfg.tol:
+            status = Status.CONVERGED
+            break
+        if array_norm(x_new, cfg.norm) > cfg.divergence_bound:
+            status = Status.DIVERGED
+            diverged_at = n
+            break
+        x, sx = x_new, sx_new
+    return tuple(iterates), tuple(residuals), status, diverged_at
+
+
+def _reference_csv(iterates, residuals, include_coords=True):
+    """Reference CSV writer that formats one float at a time."""
+    lines = ["iter,residual"]
+    if include_coords:
+        lines[0] += "," + ",".join(f"x{i}" for i in range(iterates[0].dim))
+    for n, p in enumerate(iterates):
+        row = f"{n},{'' if n == 0 else f'{residuals[n - 1]:.17g}'}"
+        if include_coords:
+            row += "," + ",".join(f"{x:.17g}" for x in p.coords)
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+# the buffer starts with 1024 rows and doubles when iterates 1024 and 2048 arrive
+STOPS = (1, 1023, 1024, 1025, 2047, 2048, 2049)
+
+
+def _equivalence_cases():
+    """(id, scheme, f, pair, cfg, iterations it must stop at, or None)."""
+    doubling = Mapping.affine([[2.0]], [0.0])
+    affine3 = get_problem("random-affine:3:0.999:5").f
+    pair = get_problem("jungck-linear").pair()
+    for k in NormKind:
+        for stop in STOPS:
+            yield (f"reflection-{k.value}-{stop}", Scheme.PICARD, _reflection(), None,
+                   _cfg(Scheme.PICARD, (0.0,), max_iter=stop, norm=k), stop)
+            if stop not in (2047, 2048):
+                yield (f"affine3-{k.value}-{stop}", Scheme.SCHAEFER, affine3, None,
+                       _cfg(Scheme.SCHAEFER, (1.0, -2.0, 3.0), c=0.001, max_iter=stop,
+                            norm=k), stop)
+        # overflow at iteration 1024 leaves a full 1024-row buffer
+        yield (f"overflow-{k.value}", Scheme.PICARD, doubling, None,
+               _cfg(Scheme.PICARD, (1.0,), divergence_bound=np.inf, norm=k), 1023)
+        yield (f"converged-pair-{k.value}", Scheme.JUNGCK_SCHAEFER, pair.f, pair,
+               _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5, norm=k), None)
+    # the pair path costs most per iteration, so it crosses the doubling edges under one norm
+    for stop in (1, 1023, 1024, 1025, 2049):
+        yield (f"pair-l2-{stop}", Scheme.JUNGCK_SCHAEFER, pair.f, pair,
+               _cfg(Scheme.JUNGCK_SCHAEFER, (1e4,), c=0.01, max_iter=stop), stop)
+
+
+class TestArrayTrace:
+    """``xs`` storage and the template CSV writer against the Point-per-iterate reference."""
+
+    @pytest.mark.parametrize(
+        "scheme,f,pair,cfg,stop",
+        [pytest.param(*case[1:], id=case[0]) for case in _equivalence_cases()],
+    )
+    def test_matches_point_per_iterate_reference(self, scheme, f, pair, cfg, stop):
+        trace = _iterate_public(scheme, f, cfg, pair)
+        iterates, residuals, status, diverged_at = _reference_iterate(scheme, f, cfg, pair)
+        if stop is not None:
+            assert trace.wall_iterations == stop
+        assert trace.iterates == iterates
+        assert trace.residuals == residuals
+        assert trace.status is status
+        assert trace.diverged_at == diverged_at
+        assert trace.to_csv(True) == _reference_csv(iterates, residuals, True)
+        assert trace.to_csv(False) == _reference_csv(iterates, residuals, False)
+        assert not trace.xs.flags.writeable
+        with pytest.raises(ValueError):
+            trace.xs[0, 0] = 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=5),
+           rows=st.integers(min_value=1, max_value=6))
+    def test_csv_equals_per_float_format(self, data, dim, rows):
+        edges = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308])
+        finite = edges | st.floats(allow_nan=False, allow_infinity=False)
+        xs = data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                                min_size=rows, max_size=rows))
+        res = tuple(data.draw(st.lists(finite, min_size=rows - 1, max_size=rows - 1)))
+        trace = IterationTrace(Scheme.PICARD, np.array(xs, dtype=float), res,
+                               Status.MAX_ITER_EXCEEDED)
+        points = tuple(Point(tuple(row)) for row in xs)
+        for coords in (True, False):
+            assert trace.to_csv(coords) == _reference_csv(points, res, coords)
+
+
+def _iterate_public(scheme, f, cfg, pair):
+    if scheme is Scheme.JUNGCK_SCHAEFER:
+        return run_jungck_schaefer(pair, cfg)
+    return (run_picard if scheme is Scheme.PICARD else run_schaefer)(f, cfg)
 
 
 def test_seed_dimension_mismatch():
