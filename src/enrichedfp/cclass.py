@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,7 +95,6 @@ class PhiU:
 
 
 class MonotoneState(enum.Enum):
-    UNCHECKED = "unchecked"
     MONOTONE_ON_GRID = "monotone-on-grid"
     VIOLATED = "violated"
 
@@ -122,11 +121,7 @@ class CClassTriple:
     phi: PhiU
     g: CClassFunction
     name: str = ""
-    monotone_status: MonotoneResult = MonotoneResult(MonotoneState.UNCHECKED)
     expected: Optional[TripleExpectation] = None
-
-    def with_status(self, status: MonotoneResult) -> "CClassTriple":
-        return replace(self, monotone_status=status)
 
 
 @dataclass(frozen=True)

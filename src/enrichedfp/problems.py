@@ -62,19 +62,12 @@ def _kannan_branchy(x: float) -> float:
 
 def builtin_problems() -> list[ProblemInstance]:
     """The fixed, named problem registry."""
-    half = Mapping.affine([[0.5]], [0.0], known_fixed_point=Point.of(0.0), label="half-map")
-    reflection = Mapping.affine(
-        [[-1.0]], [1.0], known_fixed_point=Point.of(0.5), label="reflection"
-    )
-    kannan = Mapping.from_scalar(
-        _kannan_branchy, known_fixed_point=Point.of(0.0), label="kannan-style"
-    )
-    jungck_f = Mapping.affine([[0.5]], [0.0], known_fixed_point=Point.of(0.0), label="half-map")
-    jungck_s = Mapping.affine([[2.0]], [0.0], known_fixed_point=Point.of(0.0), label="doubling")
-
-    doubling = Mapping.affine(
-        [[2.0]], [0.0], known_fixed_point=Point.of(0.0), label="doubling"
-    )
+    half = Mapping.affine([[0.5]], [0.0], label="half-map")
+    reflection = Mapping.affine([[-1.0]], [1.0], label="reflection")
+    kannan = Mapping.from_scalar(_kannan_branchy, label="kannan-style")
+    jungck_f = Mapping.affine([[0.5]], [0.0], label="half-map")
+    jungck_s = Mapping.affine([[2.0]], [0.0], label="doubling")
+    doubling = Mapping.affine([[2.0]], [0.0], label="doubling")
     affine10 = replace(random_affine(10, 0.9, seed=7), name="affine-contraction-10d")
 
     return [
@@ -170,7 +163,7 @@ def random_affine(dim: int, spectral_cap: float, seed: int) -> ProblemInstance:
     residual = float(np.linalg.norm(a @ x_star + b - x_star))
     assert residual <= 1e-9, f"linear-solve oracle residual {residual:g}"
     oracle = Point.from_array(x_star)
-    f = Mapping.affine(a, b, known_fixed_point=oracle, label=f"random-affine-{dim}d")
+    f = Mapping.affine(a, b, label=f"random-affine-{dim}d")
     return ProblemInstance(
         name=f"random-affine:{dim}:{spectral_cap:g}:{seed}",
         f=f,

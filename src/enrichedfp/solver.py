@@ -8,7 +8,7 @@ advance (for affine S the inverse is synthesized by linear solve).
 Residuals are ||u_{n+1} - u_n|| in the configured norm; the pair scheme
 instead tracks ||S u_{n+1} - S u_n||, the sequence its convergence argument
 drives to zero.  The seed point is iterate 0 and carries no residual entry;
-stopping is evaluated after each full iteration.
+stopping is decided as if tested after each full iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidConfig, InvalidInput, InverseError
-from .space import Mapping, NormKind, Point, array_norm, check_commuting, distance
+from .contraction import _CHUNK_FLOATS
+from .space import Mapping, NormKind, Point, array_norm, check_commuting, distance, row_norms
 
 __all__ = [
     "Scheme",
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 DELTA_C_SLACK = 1e-12
+# the stop tests run once per block of steps: the first block is short, so a run
+# that stops within a few steps computes few past its stop; later blocks double,
+# up to _BLOCK_ROWS rows and about _CHUNK_FLOATS coordinates
+_FIRST_BLOCK = 8
+_BLOCK_ROWS = 256
 
 
 class Scheme(enum.Enum):
@@ -198,7 +204,9 @@ class PairProblem:
                     "non-affine S needs an explicit s_inverse; none was supplied"
                 )
             a, b = self.s.matrix, self.s.offset
-            if abs(np.linalg.det(a)) == 0.0:
+            # by rank, not det(a) == 0, which underflows for a well-conditioned
+            # large S and misses a nearly singular small one
+            if np.linalg.matrix_rank(a) < self.s.dim:
                 raise InvalidInput("affine S is singular; cannot synthesize inverse")
             object.__setattr__(self, "s_inverse", lambda y: np.linalg.solve(a, y - b))
 
@@ -230,16 +238,22 @@ def run_jungck_schaefer(p: PairProblem, cfg: SolverConfig) -> IterationTrace:
     return _iterate(Scheme.JUNGCK_SCHAEFER, p.f, cfg, p)
 
 
+# an overflow is divergence, and steps past a stop may overflow: no warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(
     scheme: Scheme, f: Mapping, cfg: SolverConfig, pair: Optional[PairProblem] = None
 ) -> IterationTrace:
     """The one stepping loop: S u_{n+1} = (1-c) S u_n + c f(u_n), S = I without a pair.
 
-    Records each iterate, then tests tol / divergence / budget.  An iterate
-    that overflows to a non-finite value is divergence; the trace then ends
-    at the last finite iterate.  With a pair, every step also checks that
-    f(u_n) is reproducible as S(S^{-1}(f(u_n))), the sampled stand-in for
-    range inclusion of f in S.
+    Each step stores its iterate; the tol and divergence-bound tests then run
+    once per block of steps on the stored rows, through ``row_norms``, and the
+    first stop in step order ends the run, as a test after every step would.
+    The map is pure, so the steps computed past a stop, fewer than one block,
+    are discarded, and an error raised in one of them is dropped.  An iterate
+    that overflows to a non-finite value is divergence; the trace then ends at
+    the last finite iterate.  With a pair, every step also checks that f(u_n)
+    is reproducible as S(S^{-1}(f(u_n))), the sampled stand-in for range
+    inclusion of f in S.
     """
     if cfg.scheme is not scheme:
         raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected {scheme.value}")
@@ -250,43 +264,72 @@ def _iterate(
     c = 1.0 if scheme is Scheme.PICARD else cfg.c
     x = cfg.seed_point.as_array()
     sx = x if pair is None else pair.s.apply(x)
-    # row n holds iterate n; grown by doubling, so a huge max_iter costs nothing up front
+    # row n holds iterate n; grown by doubling up to max_iter + 1 rows, so a huge
+    # max_iter costs nothing up front and a run that uses its budget keeps no spare rows
     xs = np.empty((min(cfg.max_iter, 1023) + 1, f.dim))
     xs[0] = x
+    # row n holds S u_n, whose differences the residuals measure; xs itself without a pair
+    sxs = xs if pair is None else np.empty_like(xs)
+    sxs[0] = sx
     residuals: list[float] = []
     status = Status.MAX_ITER_EXCEEDED
     diverged_at = None
-    for n in range(1, cfg.max_iter + 1):
-        fx = f.apply(x)
-        if pair is not None:
-            reachable = pair.s.apply(pair.s_inverse(fx))
-            if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
-                raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
-        w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
-        x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
-        if x_new.shape != x.shape:
-            # a row store would broadcast a wrong-sized result silently
-            raise InvalidInput(f"iterate {n} has shape {x_new.shape}, expected {x.shape}")
-        if not np.all(np.isfinite(x_new)):
+    cap = min(_BLOCK_ROWS, max(1, _CHUNK_FLOATS // f.dim))
+    rows = min(_FIRST_BLOCK, cap)
+    a = 1
+    while a <= cfg.max_iter:
+        b = min(a + rows - 1, cfg.max_iter)
+        rows = min(2 * rows, cap)
+        if b >= len(xs):
+            extra = min(len(xs), cfg.max_iter + 1 - len(xs))
+            xs = np.concatenate((xs, np.empty_like(xs[:extra])))
+            sxs = xs if pair is None else np.concatenate((sxs, np.empty_like(sxs[:extra])))
+        # steps a..end-1 are stored; an error at step end is held until they are tested
+        end, held = b + 1, None
+        try:
+            for n in range(a, b + 1):
+                fx = f.apply(x)
+                if pair is not None:
+                    reachable = pair.s.apply(pair.s_inverse(fx))
+                    if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
+                        raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
+                w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
+                x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
+                if x_new.shape != x.shape:
+                    # a row store would broadcast a wrong-sized result silently
+                    raise InvalidInput(f"iterate {n} has shape {x_new.shape}, expected {x.shape}")
+                if not np.isfinite(x_new).all():
+                    end = n
+                    break
+                if pair is None:
+                    sx = x_new
+                else:
+                    sx = pair.s.apply(x_new)
+                    if array_norm(sx - w) > cfg.tol * max(1.0, array_norm(w)):
+                        raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
+                    sxs[n] = sx
+                xs[n] = x = x_new
+        except Exception as exc:
+            end, held = n, exc
+        r = row_norms(sxs[a:end] - sxs[a - 1:end - 1], cfg.norm)
+        stops = (r <= cfg.tol) | (row_norms(xs[a:end], cfg.norm) > cfg.divergence_bound)
+        if stops.any():
+            j = int(stops.argmax())
+            residuals += r[: j + 1].tolist()
+            if r[j] <= cfg.tol:
+                status = Status.CONVERGED
+            else:
+                status = Status.DIVERGED
+                diverged_at = a + j
+            break
+        residuals += r.tolist()
+        if held is not None:
+            raise held
+        if end <= b:
             status = Status.DIVERGED
-            diverged_at = n
+            diverged_at = end
             break
-        sx_new = x_new if pair is None else pair.s.apply(x_new)
-        if pair is not None and array_norm(sx_new - w) > cfg.tol * max(1.0, array_norm(w)):
-            raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
-        r = array_norm(sx_new - sx, cfg.norm)
-        if n == len(xs):
-            xs = np.concatenate((xs, np.empty_like(xs)))
-        xs[n] = x_new
-        residuals.append(r)
-        if r <= cfg.tol:
-            status = Status.CONVERGED
-            break
-        if array_norm(x_new, cfg.norm) > cfg.divergence_bound:
-            status = Status.DIVERGED
-            diverged_at = n
-            break
-        x, sx = x_new, sx_new
+        a = end
     xs = xs[: len(residuals) + 1]
     xs.setflags(write=False)
     return IterationTrace(

@@ -124,15 +124,13 @@ class Mapping:
 
     ``matrix``/``offset`` hold an exact affine representation A, b when the
     map is affine (then evaluation is literally A @ x + b), enabling exact
-    fixed-point oracles via linear solve.  ``known_fixed_point`` is optional
-    metadata for problem fixtures.
+    fixed-point oracles via linear solve.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     matrix: Optional[np.ndarray] = None
     offset: Optional[np.ndarray] = None
-    known_fixed_point: Optional[Point] = None
     label: str = ""
 
     def __post_init__(self):
@@ -182,7 +180,6 @@ class Mapping:
         cls,
         matrix: np.ndarray,
         offset: np.ndarray,
-        known_fixed_point: Optional[Point] = None,
         label: str = "",
     ) -> "Mapping":
         a = np.array(matrix, dtype=float)
@@ -196,7 +193,6 @@ class Mapping:
             dim=b.shape[0],
             matrix=a,
             offset=b,
-            known_fixed_point=known_fixed_point,
             label=label,
         )
 
@@ -208,14 +204,12 @@ class Mapping:
     def from_scalar(
         cls,
         f: Callable[[float], float],
-        known_fixed_point: Optional[Point] = None,
         label: str = "",
     ) -> "Mapping":
         """Wrap a scalar function as a one-dimensional mapping."""
         return cls(
             fn=lambda x: np.asarray([float(f(float(x[0])))]),
             dim=1,
-            known_fixed_point=known_fixed_point,
             label=label,
         )
 
@@ -256,21 +250,12 @@ class AveragedMap:
 
     def as_mapping(self) -> Mapping:
         """Materialize as a Mapping; affinity of the base is preserved."""
+        label = f"averaged({self.base.label or 'f'}, c={self.c})"
         if self.base.is_affine:
             n = self.base.dim
             a = (1.0 - self.c) * np.eye(n) + self.c * self.base.matrix
-            b = self.c * self.base.offset
-            return Mapping.affine(
-                a, b,
-                known_fixed_point=self.base.known_fixed_point,
-                label=f"averaged({self.base.label or 'f'}, c={self.c})",
-            )
-        return Mapping(
-            fn=self.apply,
-            dim=self.base.dim,
-            known_fixed_point=self.base.known_fixed_point,
-            label=f"averaged({self.base.label or 'f'}, c={self.c})",
-        )
+            return Mapping.affine(a, self.c * self.base.offset, label=label)
+        return Mapping(fn=self.apply, dim=self.base.dim, label=label)
 
 
 class CommuteResult(NamedTuple):

@@ -131,9 +131,11 @@ def test_row_norms_equal_array_norm(data, dim):
     _assert_norms_match(np.array(rows, dtype=float).reshape(n, dim))
 
 
-def test_row_norms_equal_array_norm_100d():
+# numpy sums in pairwise blocks of 128 elements, so 129 and 200 coordinates cross one
+@pytest.mark.parametrize("dim", [100, 129, 200])
+def test_row_norms_equal_array_norm_100d(dim):
     rng = np.random.default_rng(4)
-    block = rng.normal(size=(64, 100)) * 10.0 ** rng.integers(-310, 300, size=(64, 1))
+    block = rng.normal(size=(64, dim)) * 10.0 ** rng.integers(-310, 300, size=(64, 1))
     block[0] = 0.0
     block[1, 7] = np.inf
     block[2, 9] = np.nan

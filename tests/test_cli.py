@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -88,9 +89,12 @@ class TestRun:
         assert abs(float(_summary_fields()["limit"])) < 1e-9
 
     def test_overflow_is_divergence(self):
-        # 2^1024 overflows before any finite bound is crossed
-        code = main(["run", "--problem", "doubling", "--scheme", "picard", "--start", "1",
-                     "--divergence-bound", "1e400"])
+        # 2^1024 overflows before any finite bound is crossed; the overflow is
+        # reported as divergence, not as a numpy warning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", "--problem", "doubling", "--scheme", "picard", "--start", "1",
+                         "--divergence-bound", "1e400"])
         assert code == EXIT_VIOLATED
         fields = _summary_fields()
         assert fields["status"] == "diverged"

@@ -206,6 +206,16 @@ class TestJungck:
         with pytest.raises(InvalidInput):
             PairProblem(_half(), Mapping.affine([[0.0]], [0.0]))
 
+    def test_singular_s_judged_by_rank(self):
+        # det(0.1 I) underflows to 0 at this size, though S is perfectly conditioned
+        eye = np.eye(400)
+        PairProblem(Mapping.affine(0.05 * eye, np.zeros(400)),
+                    Mapping.affine(0.1 * eye, np.zeros(400)))
+        # det is about 1e-15 here, but the condition number is 3.2e15: numerically rank 1
+        with pytest.raises(InvalidInput):
+            PairProblem(Mapping.identity(2), Mapping.affine([[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+                                                            [0.0, 0.0]))
+
     def test_validate_sampled(self):
         p = get_problem("jungck-linear").pair()
         p.validate_sampled([Point.of(-3.0), Point.of(0.0), Point.of(11.0)])
@@ -299,7 +309,7 @@ class TestTraceCsv:
 
 
 def _reference_iterate(scheme, f, cfg, pair=None):
-    """Reference stepping loop that keeps one ``Point`` per iterate."""
+    """Reference stepping loop that keeps one ``Point`` and tests every stop after each step."""
     c = 1.0 if scheme is Scheme.PICARD else cfg.c
     x = cfg.seed_point.as_array()
     sx = x if pair is None else pair.s.apply(x)
@@ -312,16 +322,18 @@ def _reference_iterate(scheme, f, cfg, pair=None):
         if pair is not None:
             reachable = pair.s.apply(pair.s_inverse(fx))
             if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
-                raise InverseError("range", n)
+                raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
         w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
         x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
+        if x_new.shape != x.shape:
+            raise InvalidInput(f"iterate {n} has shape {x_new.shape}, expected {x.shape}")
         if not np.all(np.isfinite(x_new)):
             status = Status.DIVERGED
             diverged_at = n
             break
         sx_new = x_new if pair is None else pair.s.apply(x_new)
         if pair is not None and array_norm(sx_new - w) > cfg.tol * max(1.0, array_norm(w)):
-            raise InverseError("inverse", n)
+            raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
         r = array_norm(sx_new - sx, cfg.norm)
         iterates.append(Point.from_array(x_new))
         residuals.append(r)
@@ -349,14 +361,46 @@ def _reference_csv(iterates, residuals, include_coords=True):
     return "\n".join(lines) + "\n"
 
 
-# the buffer starts with 1024 rows and doubles when iterates 1024 and 2048 arrive
+# the buffer starts with 1024 rows and doubles when a block reaches rows 1024 and 2048
 STOPS = (1, 1023, 1024, 1025, 2047, 2048, 2049)
+# the stop tests run on blocks of 8, 16, ..., 256 steps (fewer rows at high dim),
+# which end at these steps: 504 ends the first full 256-step block
+BLOCK_EDGES = (8, 24, 56, 120, 248, 504, 760)
+BLOCK_STOPS = (1, *(edge + step for edge in BLOCK_EDGES for step in (-1, 0, 1)))
+
+
+def _scaled_identity(scale):
+    return Mapping.affine(scale * np.eye(3), np.zeros(3))
+
+
+def _doubling_until(limit, wrong_shape=False):
+    """x -> 2x on R^1 until |x| reaches ``limit``; then it raises, or widens to R^2."""
+    def fn(x):
+        if abs(x[0]) < limit:
+            return 2.0 * x
+        if wrong_shape:
+            return np.array([x[0], x[0]])
+        raise ValueError(f"refused to evaluate at {x[0]}")
+    return Mapping(fn=fn, dim=1)
+
+
+def _pair_inverse_until(limit):
+    """f = 4x, S = 2x, whose s_inverse halves only below ``limit``; c = 0.5 gives u_n = 1.5^n."""
+    return PairProblem(
+        Mapping.affine([[4.0]], [0.0]),
+        Mapping.affine([[2.0]], [0.0]),
+        s_inverse=lambda y: y / 2.0 if abs(y[0]) < limit else y,
+    )
 
 
 def _equivalence_cases():
-    """(id, scheme, f, pair, cfg, iterations it must stop at, or None)."""
+    """(id, scheme, f, pair, cfg, iterations it must stop at, or None).
+
+    Where the reference loop raises, the solver must raise the same error.
+    """
     doubling = Mapping.affine([[2.0]], [0.0])
     affine3 = get_problem("random-affine:3:0.999:5").f
+    affine200 = get_problem("random-affine:200:0.999:1").f
     pair = get_problem("jungck-linear").pair()
     for k in NormKind:
         for stop in STOPS:
@@ -375,6 +419,37 @@ def _equivalence_cases():
     for stop in (1, 1023, 1024, 1025, 2049):
         yield (f"pair-l2-{stop}", Scheme.JUNGCK_SCHAEFER, pair.f, pair,
                _cfg(Scheme.JUNGCK_SCHAEFER, (1e4,), c=0.01, max_iter=stop), stop)
+    # residual n of the halving map is exactly 2^-n ||seed||, and the norm of the doubling
+    # map's iterate n is exactly 2^n ||seed||: each stop lands on a chosen step
+    seed = (1.0, -2.0, 3.0)
+    for k in NormKind:
+        size = array_norm(np.array(seed), k)
+        for stop in BLOCK_STOPS:
+            yield (f"converge-{k.value}-{stop}", Scheme.PICARD, _scaled_identity(0.5), None,
+                   _cfg(Scheme.PICARD, seed, tol=size * 2.0**-stop, norm=k), stop)
+            yield (f"bound-{k.value}-{stop}", Scheme.PICARD, _scaled_identity(2.0), None,
+                   _cfg(Scheme.PICARD, seed, divergence_bound=size * 2.0 ** (stop - 1),
+                        norm=k), stop)
+        yield (f"affine200-{k.value}", Scheme.SCHAEFER, affine200, None,
+               _cfg(Scheme.SCHAEFER, (0.0,) * 200, c=0.001, max_iter=130, norm=k), 130)
+    # 2^(1010 + 14) overflows at step 14, inside the second block
+    yield ("overflow-mid-block", Scheme.PICARD, doubling, None,
+           _cfg(Scheme.PICARD, (2.0**1010,), divergence_bound=np.inf), 13)
+    # the bound stops step 21 (2^21 > 2^20); the map fails at 2^21, in step 22 of
+    # the same block, or at 2^15, in step 16: the first event in step order decides
+    for limit, stop in ((2.0**21, 21), (2.0**15, None)):
+        for wrong_shape in (False, True):
+            name = "widens" if wrong_shape else "raises"
+            yield (f"map-{name}-at-{limit:g}", Scheme.PICARD,
+                   _doubling_until(limit, wrong_shape), None,
+                   _cfg(Scheme.PICARD, (1.0,), divergence_bound=2.0**20), stop)
+    # the bound stops step 20 (1.5^20 > 0.9 * 1.5^20); f(u_20) = 4 * 1.5^20 fails the
+    # range check in step 21, or f(u_15) in step 16
+    for limit, stop in ((4.0 * 1.5**20, 20), (4.0 * 1.5**15, None)):
+        guarded = _pair_inverse_until(limit)
+        yield (f"pair-range-at-{limit:g}", Scheme.JUNGCK_SCHAEFER, guarded.f, guarded,
+               _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5, divergence_bound=0.9 * 1.5**20),
+               stop)
 
 
 class TestArrayTrace:
@@ -385,8 +460,15 @@ class TestArrayTrace:
         [pytest.param(*case[1:], id=case[0]) for case in _equivalence_cases()],
     )
     def test_matches_point_per_iterate_reference(self, scheme, f, pair, cfg, stop):
+        try:
+            iterates, residuals, status, diverged_at = _reference_iterate(scheme, f, cfg, pair)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as err:
+                _iterate_public(scheme, f, cfg, pair)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            assert getattr(err.value, "iteration", None) == getattr(exc, "iteration", None)
+            return
         trace = _iterate_public(scheme, f, cfg, pair)
-        iterates, residuals, status, diverged_at = _reference_iterate(scheme, f, cfg, pair)
         if stop is not None:
             assert trace.wall_iterations == stop
         assert trace.iterates == iterates
