@@ -26,7 +26,6 @@ from .contraction import (
     SumMode,
     Variant,
     certify,
-    cclass_check_pair,
     hr_sides,
     jungck_sides,
     pair_holds,

@@ -130,7 +130,6 @@ class ValidationReport:
     passed: bool
     axiom: Optional[str] = None
     witness: Optional[tuple] = None
-    points_checked: int = 0
 
 
 @dataclass(frozen=True)
@@ -143,17 +142,15 @@ class Grid1D:
 
     upper: float = 10.0
     points: int = 1001
-    refine_near_zero: bool = True
 
     def values(self) -> np.ndarray:
-        if self.upper <= 0 or self.points < 2:
-            raise InvalidInput("grid needs upper > 0 and at least 2 points")
+        # written so that a NaN bound fails too
+        if not 0 < self.upper < math.inf or self.points < 2:
+            raise InvalidInput("grid needs a finite upper > 0 and at least 2 points")
         vals = np.linspace(0.0, self.upper, self.points)
-        if self.refine_near_zero:
-            lo = min(1e-6, self.upper * 1e-7)
-            refine = np.geomspace(lo, min(0.1, self.upper / 2.0), 13)
-            vals = np.union1d(vals, refine)
-        return vals
+        lo = min(1e-6, self.upper * 1e-7)
+        refine = np.geomspace(lo, min(0.1, self.upper / 2.0), 13)
+        return np.union1d(vals, refine)
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,8 @@ class Grid2D:
     points_per_axis: int = 101
 
     def axis(self) -> np.ndarray:
-        if self.upper <= 0 or self.points_per_axis < 2:
-            raise InvalidInput("grid needs upper > 0 and at least 2 points per axis")
+        if not 0 < self.upper < math.inf or self.points_per_axis < 2:
+            raise InvalidInput("grid needs a finite upper > 0 and at least 2 points per axis")
         return np.linspace(0.0, self.upper, self.points_per_axis)
 
 
@@ -182,16 +179,14 @@ def validate_cclass(
     """
     _check_tol(tol)
     axis = grid.axis()
-    n = 0
     for s in axis:
         for t in axis:
             val = g(float(s), float(t))
-            n += 1
             if val > s + tol:
-                return ValidationReport(g.label, False, "upper-bound", (float(s), float(t)), n)
+                return ValidationReport(g.label, False, "upper-bound", (float(s), float(t)))
             if abs(val - s) <= tol and s > tol and t > tol:
-                return ValidationReport(g.label, False, "degeneracy", (float(s), float(t)), n)
-    return ValidationReport(g.label, True, None, None, n)
+                return ValidationReport(g.label, False, "degeneracy", (float(s), float(t)))
+    return ValidationReport(g.label, True)
 
 
 def validate_altering(
@@ -203,19 +198,18 @@ def validate_altering(
     _check_tol(tol)
     ts = grid.values()
     vals = np.array([psi(float(t)) for t in ts])
-    n = len(ts)
     zero = psi(0.0)
     if abs(zero) > tol:
-        return ValidationReport(psi.label, False, "zero-at-zero", (0.0, zero), n)
+        return ValidationReport(psi.label, False, "zero-at-zero", (0.0, zero))
     for t, v in zip(ts, vals):
         if t > tol and v <= tol:
-            return ValidationReport(psi.label, False, "positivity", (float(t), float(v)), n)
+            return ValidationReport(psi.label, False, "positivity", (float(t), float(v)))
     for i in range(len(ts) - 1):
         if vals[i] > vals[i + 1] + tol:
             return ValidationReport(
-                psi.label, False, "non-decreasing", (float(ts[i]), float(ts[i + 1])), n
+                psi.label, False, "non-decreasing", (float(ts[i]), float(ts[i + 1]))
             )
-    return ValidationReport(psi.label, True, None, None, n)
+    return ValidationReport(psi.label, True)
 
 
 def validate_phiu(
@@ -226,16 +220,15 @@ def validate_phiu(
     """Check phi(0) >= 0 and strict positivity at grid points beyond tol."""
     _check_tol(tol)
     ts = grid.values()
-    n = len(ts)
     zero = phi(0.0)
     if zero < -tol:
-        return ValidationReport(phi.label, False, "nonnegative-at-zero", (0.0, zero), n)
+        return ValidationReport(phi.label, False, "nonnegative-at-zero", (0.0, zero))
     for t in ts:
         if t > tol:
             v = phi(float(t))
             if v <= 0.0:
-                return ValidationReport(phi.label, False, "positivity", (float(t), float(v)), n)
-    return ValidationReport(phi.label, True, None, None, n)
+                return ValidationReport(phi.label, False, "positivity", (float(t), float(v)))
+    return ValidationReport(phi.label, True)
 
 
 def validate_monotone_triple(

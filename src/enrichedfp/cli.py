@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .cclass import (
+    DEFAULT_TOL as GRID_TOL,
     Grid1D,
     Grid2D,
     MonotoneState,
@@ -36,6 +35,7 @@ from .cclass import (
 )
 from .contraction import (
     _EXPECTED_MODE,
+    DEFAULT_TOL as CERT_TOL,
     Coefficients,
     ContractionVariant,
     PairSampler,
@@ -64,7 +64,7 @@ from .solver import (
 )
 from .space import NormKind, Point
 
-__all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_NOT_CONVERGED", "EXIT_VIOLATED", "EXIT_CONFIG"]
+__all__ = ["main", "EXIT_OK", "EXIT_NOT_CONVERGED", "EXIT_VIOLATED", "EXIT_CONFIG"]
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -86,24 +86,6 @@ _VARIANTS = {v.value: v for v in Variant}
 _SUM_MODES = {m.value: m for m in SumMode}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration for a single solver run."""
-
-    problem: str
-    scheme: Scheme
-    c: float
-    delta: Optional[float]
-    tol: float
-    max_iter: int
-    divergence_bound: float
-    norm: NormKind
-    start: Optional[tuple[float, ...]]
-    trace_path: str
-    summary_path: str
-    include_coords: bool
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; remap onto the config-error code instead
     def error(self, message):
@@ -116,9 +98,13 @@ _RUN_FILE_KEYS = {
 }
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    """Declarative run config: 'key = value' lines, '#' comments."""
-    out: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict[str, object]:
+    """Declarative run config: 'key = value' lines, '#' comments.
+
+    Returns the keys as defaults for the ``run`` parser, by argument dest;
+    values stay strings, so each goes through its flag's converter.
+    """
+    out: dict[str, object] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -132,7 +118,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _RUN_FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value
+        if key == "coords":
+            out["no_coords"] = not _parse_bool(value)
+        else:
+            out[key.replace("-", "_")] = value
     return out
 
 
@@ -158,52 +147,7 @@ def _lookup(table: dict, value: str, what: str):
     return table[value]
 
 
-def _resolve_run_config(args) -> RunConfig:
-    file_cfg = _parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return convert(file_cfg[key])
-        return default
-
-    problem = pick(args.problem, "problem", str, None)
-    if problem is None:
-        raise ConfigError("no problem given (flag --problem or config key 'problem')")
-    scheme_name = pick(args.scheme, "scheme", str, "schaefer")
-    scheme = _lookup(_SCHEMES, scheme_name, "scheme")
-
-    c = pick(args.c, "c", float, None)
-    delta = pick(args.delta, "delta", float, None)
-    if c is not None and delta is not None:
-        raise ConfigError("give at most one of c and delta (c = 1/(1+delta))")
-    if delta is not None:
-        if delta < 0:
-            raise ConfigError(f"delta must be non-negative, got {delta}")
-        c = 1.0 / (1.0 + delta)
-    elif c is None:
-        c = 1.0 if scheme is Scheme.PICARD else DEFAULT_C
-
-    start_text = pick(args.start, "start", str, None)
-    include_coords = False if args.no_coords else pick(None, "coords", _parse_bool, True)
-    return RunConfig(
-        problem=problem,
-        scheme=scheme,
-        c=c,
-        delta=delta,
-        tol=pick(args.tol, "tol", float, 1e-10),
-        max_iter=pick(args.max_iter, "max-iter", int, 100_000),
-        divergence_bound=pick(args.divergence_bound, "divergence-bound", float, 1e12),
-        norm=_lookup(_NORMS, pick(args.norm, "norm", str, "l2"), "norm"),
-        start=_parse_start(start_text) if start_text is not None else None,
-        trace_path=pick(args.trace, "trace", str, "trace.csv"),
-        summary_path=pick(args.summary, "summary", str, "summary.txt"),
-        include_coords=include_coords,
-    )
-
-
-def _summary_text(cfg: RunConfig, trace) -> str:
+def _summary_text(cfg: SolverConfig, trace) -> str:
     limit = trace.limit()
     lines = [
         f"status = {trace.status.value}",
@@ -234,24 +178,29 @@ def _solve(problem: ProblemInstance, cfg: SolverConfig) -> IterationTrace:
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve_run_config(args)
-    problem = get_problem(cfg.problem)
-    dim = problem.f.dim
-    start = Point(cfg.start) if cfg.start is not None else Point.from_array(np.zeros(dim))
-    solver_cfg = SolverConfig(
-        scheme=cfg.scheme,
-        seed_point=start,
-        c=cfg.c,
-        delta=cfg.delta,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        divergence_bound=cfg.divergence_bound,
-        norm=cfg.norm,
-    )
-    trace = _solve(problem, solver_cfg)
-    Path(cfg.trace_path).write_text(trace.to_csv(include_coords=cfg.include_coords))
+    if args.problem is None:
+        raise ConfigError("no problem given (flag --problem or config key 'problem')")
+    scheme = _lookup(_SCHEMES, args.scheme, "scheme")
+    if args.c is not None and args.delta is not None:
+        raise ConfigError("give at most one of c and delta (c = 1/(1+delta))")
+    kw = dict(tol=args.tol, max_iter=args.max_iter, divergence_bound=args.divergence_bound,
+              norm=_lookup(_NORMS, args.norm, "norm"))
+    problem = get_problem(args.problem)
+    if args.start is not None:
+        seed = Point(_parse_start(args.start))
+    else:
+        seed = Point.from_array(np.zeros(problem.f.dim))
+    if args.delta is not None:
+        cfg = SolverConfig.with_delta(scheme, seed, args.delta, **kw)
+    else:
+        c = args.c
+        if c is None:
+            c = 1.0 if scheme is Scheme.PICARD else DEFAULT_C
+        cfg = SolverConfig(scheme=scheme, seed_point=seed, c=c, **kw)
+    trace = _solve(problem, cfg)
+    Path(args.trace).write_text(trace.to_csv(include_coords=not args.no_coords))
     summary = _summary_text(cfg, trace)
-    Path(cfg.summary_path).write_text(summary)
+    Path(args.summary).write_text(summary)
     sys.stdout.write(summary)
     return _STATUS_EXIT[trace.status]
 
@@ -370,23 +319,29 @@ def cmd_list_triples(_args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, _Parser]:
+    """The CLI parser, and its ``run`` subparser, which takes config-file keys as defaults."""
     parser = _Parser(prog="enrichedfp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an iteration scheme on a named problem")
     run.add_argument("--problem", help="registry name or random-affine:dim:cap:seed")
-    run.add_argument("--scheme", help="picard | schaefer | jungck-schaefer")
+    run.add_argument("--scheme", default=Scheme.SCHAEFER.value,
+                     help="picard | schaefer | jungck-schaefer (default %(default)s)")
     run.add_argument("--c", type=float, help="averaging parameter in (0, 1]")
     run.add_argument("--delta", type=float, help="enrichment coefficient; implies c = 1/(1+delta)")
-    run.add_argument("--tol", type=float, help="residual stopping threshold (default 1e-10)")
-    run.add_argument("--max-iter", type=int, help="iteration budget (default 100000)")
-    run.add_argument("--divergence-bound", type=float, help="iterate-norm ceiling (default 1e12)")
-    run.add_argument("--norm", choices=sorted(_NORMS), help="norm used for residuals (default l2)")
+    run.add_argument("--tol", type=float, default=SolverConfig.tol,
+                     help="residual stopping threshold (default %(default)s)")
+    run.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                     help="iteration budget (default %(default)s)")
+    run.add_argument("--divergence-bound", type=float, default=SolverConfig.divergence_bound,
+                     help="iterate-norm ceiling (default %(default)s)")
+    run.add_argument("--norm", choices=sorted(_NORMS), default=SolverConfig.norm.value,
+                     help="norm used for residuals (default %(default)s)")
     run.add_argument("--start", help="comma-separated start point (default zeros)")
-    run.add_argument("--trace", help="trace CSV path (default trace.csv)")
-    run.add_argument("--summary", help="summary path (default summary.txt)")
+    run.add_argument("--trace", default="trace.csv", help="trace CSV path (default %(default)s)")
+    run.add_argument("--summary", default="summary.txt", help="summary path (default %(default)s)")
     run.add_argument("--no-coords", action="store_true", help="omit coordinates from the trace CSV")
     run.add_argument("--config", help="declarative config file; flags override its keys")
     run.set_defaults(func=cmd_run)
@@ -394,35 +349,36 @@ def _build_parser() -> _Parser:
     vc = sub.add_parser("verify-contraction", help="certify a contraction condition by sampling")
     vc.add_argument("--problem", required=True)
     vc.add_argument("--variant", required=True, help=" | ".join(sorted(_VARIANTS)))
-    vc.add_argument("--delta", type=float, default=0.0)
+    vc.add_argument("--delta", type=float, default=Coefficients.delta)
     for i in range(1, 6):
-        vc.add_argument(f"--c{i}", type=float, default=0.0)
+        vc.add_argument(f"--c{i}", type=float, default=getattr(Coefficients, f"c{i}"))
     vc.add_argument("--sum-mode", help="strictly-less-one | exactly-one (default: variant's mode)")
     vc.add_argument("--triple", help="triple registry name (C-class variants)")
     vc.add_argument("--box", type=float, nargs=2, metavar=("LO", "HI"),
                     help="sampling box (default: the problem's box)")
-    vc.add_argument("--pairs", type=int, default=1024, help="random pair count (default 1024)")
-    vc.add_argument("--seed", type=int, default=0)
-    vc.add_argument("--tol", type=float, default=1e-9)
-    vc.add_argument("--norm", choices=sorted(_NORMS), default="l2")
+    vc.add_argument("--pairs", type=int, default=PairSampler.count,
+                    help="random pair count (default %(default)s)")
+    vc.add_argument("--seed", type=int, default=PairSampler.seed)
+    vc.add_argument("--tol", type=float, default=CERT_TOL)
+    vc.add_argument("--norm", choices=sorted(_NORMS), default=SolverConfig.norm.value)
     vc.add_argument("--report", default="certificate.json")
     vc.set_defaults(func=cmd_verify_contraction)
 
     vcc = sub.add_parser("verify-cclass", help="validate a named (psi, phi, G) triple")
     vcc.add_argument("--triple", required=True)
-    vcc.add_argument("--grid-upper", type=float, default=10.0)
-    vcc.add_argument("--grid-points", type=int, default=1001)
-    vcc.add_argument("--tol", type=float, default=1e-9)
+    vcc.add_argument("--grid-upper", type=float, default=Grid1D.upper)
+    vcc.add_argument("--grid-points", type=int, default=Grid1D.points)
+    vcc.add_argument("--tol", type=float, default=GRID_TOL)
     vcc.add_argument("--report", default="cclass_report.txt")
     vcc.set_defaults(func=cmd_verify_cclass)
 
     sw = sub.add_parser("sweep", help="run one scheme across several c values")
     sw.add_argument("--problem", required=True)
-    sw.add_argument("--scheme", default="schaefer")
+    sw.add_argument("--scheme", default=Scheme.SCHAEFER.value)
     sw.add_argument("--c-values", required=True, help="comma-separated values in (0, 1]")
-    sw.add_argument("--tol", type=float, default=1e-10)
-    sw.add_argument("--max-iter", type=int, default=100_000)
-    sw.add_argument("--norm", choices=sorted(_NORMS), default="l2")
+    sw.add_argument("--tol", type=float, default=SolverConfig.tol)
+    sw.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    sw.add_argument("--norm", choices=sorted(_NORMS), default=SolverConfig.norm.value)
     sw.add_argument("--start", help="comma-separated start point (default zeros)")
     sw.add_argument("--out", default="sweep.csv")
     sw.set_defaults(func=cmd_sweep)
@@ -433,12 +389,17 @@ def _build_parser() -> _Parser:
     sub.add_parser("list-triples", help="show the triple registry").set_defaults(
         func=cmd_list_triples
     )
-    return parser
+    return parser, run
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        parser, run = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "run" and args.config:
+            # flags override the file's keys, and each key goes through its flag's converter
+            run.set_defaults(**_parse_config_file(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, InvalidConfig, InvalidInput, NoRootBracketed) as exc:
         print(f"error: {exc}", file=sys.stderr)

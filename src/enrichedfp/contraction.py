@@ -34,7 +34,7 @@ from .cclass import (
     validate_phiu,
 )
 from .errors import InvalidConfig, InvalidInput
-from .space import Mapping, NormKind, Point, check_commuting, row_norms
+from .space import Mapping, NormKind, Point, block_sizes, check_commuting, row_norms
 
 __all__ = [
     "SumMode",
@@ -45,17 +45,14 @@ __all__ = [
     "ContractionCertificate",
     "hr_sides",
     "jungck_sides",
-    "cclass_check_pair",
     "pair_holds",
     "certify",
 ]
 
 DEFAULT_TOL = 1e-9
 EXACTLY_ONE_SLACK = 1e-12
-# certify checks 64 pairs first, so an early violation costs one small block;
-# later blocks double, up to about _CHUNK_FLOATS coordinates per block
+# certify checks 64 pairs first, so an early violation costs one small block
 _FIRST_CHUNK = 64
-_CHUNK_FLOATS = 8192
 # near-coincident structured pairs sit this fraction of the box width apart
 _NEAR = 1e-8
 
@@ -89,10 +86,6 @@ class Coefficients:
             raise InvalidInput(f"weights must sum below 1, got {total}")
         if self.sum_mode is SumMode.EXACTLY_ONE and abs(total - 1.0) > EXACTLY_ONE_SLACK:
             raise InvalidInput(f"weights must sum to 1, got {total}")
-
-    @property
-    def csum(self) -> float:
-        return self.c1 + self.c2 + self.c3 + self.c4 + self.c5
 
     @property
     def implied_c(self) -> float:
@@ -258,25 +251,6 @@ def jungck_sides(
     return _pair_sides(f, s, u.as_array(), v.as_array(), coeffs, k)
 
 
-def cclass_check_pair(
-    variant: ContractionVariant,
-    f: Mapping,
-    u: Point,
-    v: Point,
-    coeffs: Coefficients,
-    k: NormKind = NormKind.L2,
-    tol: float = DEFAULT_TOL,
-) -> tuple[bool, float, float]:
-    """Evaluate the C-class inequality psi(lhs) <= G(psi(M), phi(M)) at one pair.
-
-    M is the weighted sum from the matching plain inequality.  Returns
-    (holds, psi(lhs), G(psi(M), phi(M))).
-    """
-    if not variant.is_cclass:
-        raise InvalidConfig(f"{variant.tag.value} is not a C-class variant")
-    return pair_holds(variant, f, u, v, coeffs, k, tol)
-
-
 def pair_holds(
     variant: ContractionVariant,
     f: Mapping,
@@ -411,19 +385,14 @@ def _json_float(x: float):
 
 
 def _chunks(blocks: tuple[tuple[np.ndarray, np.ndarray], ...], dim: int):
-    """The (us, vs) row blocks cut into chunks, in pair order.
-
-    The first chunk has _FIRST_CHUNK rows; each next one doubles, up to about
-    _CHUNK_FLOATS / dim rows.
-    """
-    cap = max(1, _CHUNK_FLOATS // dim)
-    rows = min(_FIRST_CHUNK, cap)
+    """The (us, vs) row blocks cut into chunks of ``block_sizes`` rows, in pair order."""
+    sizes = block_sizes(_FIRST_CHUNK, dim)
     for us, vs in blocks:
         start = 0
         while start < len(us):
+            rows = next(sizes)
             yield us[start:start + rows], vs[start:start + rows]
             start += rows
-            rows = min(2 * rows, cap)
 
 
 def _chunk_sides(

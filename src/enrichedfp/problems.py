@@ -137,6 +137,8 @@ def get_problem(name: str) -> ProblemInstance:
             dim, cap, seed = int(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise ConfigError(f"bad random-affine spec {name!r}: {exc}") from exc
+        if seed < 0:
+            raise ConfigError(f"bad random-affine spec {name!r}: negative seed {seed}")
         return random_affine(dim, cap, seed)
     known = ", ".join(p.name for p in builtin_problems())
     raise ConfigError(f"unknown problem {name!r}; known problems: {known}")

@@ -21,8 +21,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidConfig, InvalidInput, InverseError
-from .contraction import _CHUNK_FLOATS
-from .space import Mapping, NormKind, Point, array_norm, check_commuting, distance, row_norms
+from .space import (
+    Mapping,
+    NormKind,
+    Point,
+    array_norm,
+    block_sizes,
+    check_commuting,
+    distance,
+    row_norms,
+)
 
 __all__ = [
     "Scheme",
@@ -41,8 +49,8 @@ __all__ = [
 
 DELTA_C_SLACK = 1e-12
 # the stop tests run once per block of steps: the first block is short, so a run
-# that stops within a few steps computes few past its stop; later blocks double,
-# up to _BLOCK_ROWS rows and about _CHUNK_FLOATS coordinates
+# that stops within a few steps computes few past its stop; later blocks double
+# as ``block_sizes`` sets, up to _BLOCK_ROWS rows
 _FIRST_BLOCK = 8
 _BLOCK_ROWS = 256
 
@@ -274,12 +282,10 @@ def _iterate(
     residuals: list[float] = []
     status = Status.MAX_ITER_EXCEEDED
     diverged_at = None
-    cap = min(_BLOCK_ROWS, max(1, _CHUNK_FLOATS // f.dim))
-    rows = min(_FIRST_BLOCK, cap)
+    sizes = block_sizes(_FIRST_BLOCK, f.dim)
     a = 1
     while a <= cfg.max_iter:
-        b = min(a + rows - 1, cfg.max_iter)
-        rows = min(2 * rows, cap)
+        b = min(a + min(next(sizes), _BLOCK_ROWS) - 1, cfg.max_iter)
         if b >= len(xs):
             extra = min(len(xs), cfg.max_iter + 1 - len(xs))
             xs = np.concatenate((xs, np.empty_like(xs[:extra])))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "norm",
     "array_norm",
     "row_norms",
+    "block_sizes",
     "distance",
     "check_commuting",
 ]
@@ -104,6 +105,23 @@ def row_norms(block: np.ndarray, k: NormKind = NormKind.L2) -> np.ndarray:
         out = safe * np.sqrt(np.sum(np.square(block / safe[:, None]), axis=1))
         return np.where(scaled, out, m)
     return np.linalg.norm(block, ord=_NP_ORD[k], axis=1)
+
+
+# a block of rows holds about this many coordinates at most
+_CHUNK_FLOATS = 8192
+
+
+def block_sizes(first: int, dim: int) -> Iterator[int]:
+    """Row counts of successive blocks of ``dim``-coordinate rows, without end.
+
+    The first block has ``first`` rows, so work that stops early pays for one
+    small block; each next one doubles, up to about _CHUNK_FLOATS coordinates.
+    """
+    cap = max(1, _CHUNK_FLOATS // dim)
+    rows = min(first, cap)
+    while True:
+        yield rows
+        rows = min(2 * rows, cap)
 
 
 def norm(p: Point, k: NormKind = NormKind.L2) -> float:

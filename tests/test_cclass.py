@@ -25,6 +25,14 @@ def test_grid_sizes_meet_minimums():
     assert Grid2D().points_per_axis ** 2 >= 1000
 
 
+@pytest.mark.parametrize("upper", [math.nan, math.inf, 0.0, -1.0])
+def test_grid_upper_must_be_positive_and_finite(upper):
+    with pytest.raises(InvalidInput):
+        Grid1D(upper=upper).values()
+    with pytest.raises(InvalidInput):
+        Grid2D(upper=upper).axis()
+
+
 def test_grid1d_sorted_and_starts_at_zero():
     vals = Grid1D().values()
     assert vals[0] == 0.0

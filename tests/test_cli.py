@@ -151,6 +151,22 @@ class TestConfigFile:
     def test_missing_file(self):
         assert main(["run", "--config", "missing.cfg"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", ["tol = abc", "max-iter = 1.5", "c = x",
+                                      "divergence-bound = y"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = half-map\n{line}\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_coords_false_omits_coordinates(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = reflection\ndelta = 1\ncoords = false\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert open("trace.csv").read().splitlines()[0] == "iter,residual"
+
 
 class TestVerifyContraction:
     def test_half_map_satisfied(self):
@@ -261,6 +277,11 @@ class TestVerifyCClass:
 
     def test_unknown_triple(self):
         assert main(["verify-cclass", "--triple", "zzz"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("upper", ["nan", "inf"])
+    def test_grid_upper_must_be_finite(self, upper):
+        args = ["verify-cclass", "--triple", "identity-triple", "--grid-upper", upper]
+        assert main(args) == EXIT_CONFIG
 
     @pytest.mark.parametrize("tol,code", [
         ("nan", EXIT_CONFIG), ("inf", EXIT_CONFIG), ("-1", EXIT_CONFIG), ("0", EXIT_OK),

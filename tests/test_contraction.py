@@ -11,7 +11,6 @@ from enrichedfp.contraction import (
     PairSampler,
     SumMode,
     Variant,
-    cclass_check_pair,
     certify,
     hr_sides,
     jungck_sides,
@@ -113,9 +112,7 @@ class TestCClassPair:
             Variant.CCLASS_HARDY_ROGERS, triple=get_triple("example-2.5-monotone")
         )
         co = Coefficients(c1=1.0, sum_mode=SumMode.EXACTLY_ONE)
-        holds, lhs_psi, rhs_g = cclass_check_pair(
-            variant, _half(), Point.of(1.0), Point.of(0.0), co
-        )
+        holds, lhs_psi, rhs_g = pair_holds(variant, _half(), Point.of(1.0), Point.of(0.0), co)
         assert not holds
         assert lhs_psi == pytest.approx(math.sqrt(0.5), rel=1e-15)
         assert rhs_g == pytest.approx(0.0, abs=1e-15)
@@ -127,7 +124,7 @@ class TestCClassPair:
         )
         co = Coefficients(c2=0.5, c5=0.5, sum_mode=SumMode.EXACTLY_ONE)
         star = Point.of(0.0)  # fixed point of the half map
-        holds, lhs_psi, rhs_g = cclass_check_pair(variant, _half(), star, star, co)
+        holds, lhs_psi, rhs_g = pair_holds(variant, _half(), star, star, co)
         assert holds
         assert lhs_psi == 0.0 and rhs_g == 0.0
 
@@ -138,7 +135,7 @@ class TestCClassPair:
         )
         co = Coefficients(c1=1.0, sum_mode=SumMode.EXACTLY_ONE)
         u, v = Point.of(3.0), Point.of(1.0)
-        holds, lhs_psi, rhs_g = cclass_check_pair(variant, _half(), u, v, co)
+        holds, lhs_psi, rhs_g = pair_holds(variant, _half(), u, v, co)
         lhs, m = hr_sides(_half(), u, v, co)
         assert lhs_psi == lhs
         assert rhs_g == 0.0  # psi(M) - phi(M) with both equal to M
@@ -155,18 +152,12 @@ class TestCClassPair:
         for _ in range(400):
             u = Point.of(float(rng.uniform(-5, 5)))
             v = Point.of(float(rng.uniform(-5, 5)))
-            holds, lhs_psi, _ = cclass_check_pair(variant, _half(), u, v, co)
+            holds, lhs_psi, _ = pair_holds(variant, _half(), u, v, co)
             if holds:
                 seen_holds += 1
                 _, m = hr_sides(_half(), u, v, co)
                 assert lhs_psi <= triple.psi(m) + 1e-9
         assert seen_holds > 0
-
-    def test_plain_variant_rejected(self):
-        variant = ContractionVariant(Variant.HARDY_ROGERS)
-        with pytest.raises(InvalidConfig):
-            cclass_check_pair(variant, _half(), Point.of(1.0), Point.of(0.0),
-                              Coefficients(c1=1.0, sum_mode=SumMode.EXACTLY_ONE))
 
 
 class TestVariantValidation:

@@ -38,7 +38,9 @@ def test_get_problem_random_affine_spec():
     assert np.array_equal(p.f.matrix, q.f.matrix)
 
 
-@pytest.mark.parametrize("spec", ["random-affine:3:0.5", "random-affine:x:0.5:9"])
+@pytest.mark.parametrize(
+    "spec", ["random-affine:3:0.5", "random-affine:x:0.5:9", "random-affine:3:0.5:-1"]
+)
 def test_get_problem_bad_random_spec(spec):
     with pytest.raises(ConfigError):
         get_problem(spec)

@@ -11,12 +11,24 @@ from enrichedfp.space import (
     Mapping,
     NormKind,
     Point,
+    block_sizes,
     check_commuting,
     distance,
     norm,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@pytest.mark.parametrize("first,dim,expected", [
+    (64, 1, [64, 128, 256, 512, 1024, 2048, 4096, 8192, 8192]),
+    (8, 100, [8, 16, 32, 64, 81, 81]),
+    (64, 1000, [8, 8, 8]),
+    (8, 10_000, [1, 1]),
+])
+def test_block_sizes_double_up_to_the_float_cap(first, dim, expected):
+    sizes = block_sizes(first, dim)
+    assert [next(sizes) for _ in expected] == expected
 
 
 def test_norm_pythagorean_triple():
