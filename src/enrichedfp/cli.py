@@ -16,6 +16,7 @@ byte-identical across reruns with identical flags and seeds.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -87,6 +88,13 @@ _SUM_MODES = {m.value: m for m in SumMode}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -N and -N.M as negative numbers, so a value such as
+        # -1e3 or -1,2 would be taken for an option.  No option here starts with
+        # a digit: any "-<digit>" or "-.<digit>" is a value, as in Python 3.13
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on bad usage; remap onto the config-error code instead
     def error(self, message):
         raise ConfigError(message)

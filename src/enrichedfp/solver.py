@@ -89,8 +89,7 @@ class SolverConfig:
         if not (0.0 < self.c <= 1.0):
             raise InvalidConfig(f"averaging parameter must be in (0, 1], got {self.c}")
         if self.delta is not None:
-            if self.delta < 0:
-                raise InvalidConfig(f"delta must be non-negative, got {self.delta}")
+            _check_delta(self.delta)
             if abs(self.c - 1.0 / (1.0 + self.delta)) > DELTA_C_SLACK:
                 raise InvalidConfig(
                     f"c = {self.c} inconsistent with delta = {self.delta} "
@@ -108,10 +107,15 @@ class SolverConfig:
     @classmethod
     def with_delta(cls, scheme: Scheme, seed_point: Point, delta: float, **kw) -> "SolverConfig":
         """Derive c = 1 / (1 + delta) and record both."""
-        if delta < 0:
-            raise InvalidConfig(f"delta must be non-negative, got {delta}")
+        _check_delta(delta)
         return cls(scheme=scheme, seed_point=seed_point, c=1.0 / (1.0 + delta),
                    delta=delta, **kw)
+
+
+def _check_delta(delta: float) -> None:
+    # written so NaN fails too; an infinite delta would make c = 0
+    if not 0 <= delta < math.inf:
+        raise InvalidConfig(f"delta must be non-negative and finite, got {delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,26 +156,49 @@ class IterationTrace:
     def to_csv(self, include_coords: bool = True) -> str:
         """CSV body: iter, residual, then one column per coordinate.
 
-        17 significant digits, '.' decimal, no separators; iterate 0 has an
-        empty residual field.  Byte-stable for fixed inputs.
+        Every number is ``"%.17g" % x``: 17 significant digits, '.' decimal, no
+        separators; iterate 0 has an empty residual field.  Byte-stable for
+        fixed inputs.
         """
-        residuals = ("", *(_fmt(r) for r in self.residuals))
-        if not include_coords:
-            lines = ["iter,residual", *(f"{n},{res}" for n, res in enumerate(residuals))]
-        else:
-            dim = self.xs.shape[1]
-            lines = ["iter,residual," + ",".join(f"x{i}" for i in range(dim))]
-            # "%.17g" % x is f"{x:.17g}" for every float, one template per row
-            row_fmt = "%d,%s," + ",".join(["%.17g"] * dim)
-            lines += [row_fmt % (n, res, *row.tolist())
-                      for n, (res, row) in enumerate(zip(residuals, self.xs))]
-        # the empty last line ends the text with a newline without copying the joined text
-        lines.append("")
-        return "\n".join(lines)
+        xs = self.xs if include_coords else self.xs[:, :0]
+        dim = xs.shape[1]
+        parts = ["iter,residual" + "".join(f",x{i}" for i in range(dim)) + "\n",
+                 "0," + "".join(f",{_fmt(v)}" for v in xs[0].tolist()) + "\n"]
+        # rows 1.. as a float matrix [iter, residual, coords...]: "%.17g" of an
+        # integer below 2**53 is its "%d"
+        residuals = np.array(self.residuals)
+        sizes = block_sizes(_FIRST_BLOCK, dim + 2)
+        a = 1
+        while a < len(xs):
+            b = min(a + next(sizes), len(xs))
+            block = np.empty((b - a, dim + 2))
+            block[:, 0] = np.arange(a, b)
+            block[:, 1] = residuals[a - 1:b - 1]
+            block[:, 2:] = xs[a:b]
+            parts.append(_csv_rows(block))
+            a = b
+        return "".join(parts)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+# below this many numbers the vectorised formatter's fixed cost exceeds per-float _fmt
+_KERNEL_MIN = 512
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """One CSV line per row of ``block``, each number as ``"%.17g" % x``."""
+    if block.size < _KERNEL_MIN:
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist())
+    # imported on first use: importing enrichedfp neither compiles it nor builds its table
+    from ._fmt17 import SLOTS, fmt_array
+
+    chars = fmt_array(block.ravel()).reshape(*block.shape, SLOTS)
+    chars[:, :, -1] = ord(",")
+    chars[:, -1, -1] = ord("\n")
+    return chars.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def run_picard(f: Mapping, cfg: SolverConfig) -> IterationTrace:

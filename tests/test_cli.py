@@ -112,6 +112,22 @@ class TestRun:
         code = main(["run", "--problem", "half-map", "--scheme", "picard", flag, value])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_bad_delta_is_blamed_on_delta(self, delta, capsys):
+        code = main(["run", "--problem", "half-map", "--delta", delta])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: delta must be")
+
+    def test_negative_start_in_exponent_form(self):
+        runs = []
+        for start in ("-1e3", "-1000.0"):
+            code = main(["run", "--problem", "half-map", "--start", start])
+            runs.append((code, open("trace.csv").read()))
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+        code = main(["run", "--problem", "random-affine:2:0.5:3", "--start", "-1e3,2.5e-1"])
+        assert code == EXIT_OK
+        assert open("trace.csv").read().splitlines()[1] == "0,,-1000,0.25"
+
     def test_rerun_byte_identical(self):
         args = ["run", "--problem", "half-map", "--scheme", "schaefer",
                 "--c", "0.25", "--start", "3"]
@@ -243,6 +259,15 @@ class TestVerifyContraction:
                      "--variant", "hardy-rogers", "--c1", "0.5", *flags])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_box_bound_in_exponent_form(self):
+        runs = []
+        for lo, hi in (("-1e3", "1e3"), ("-1000.0", "1000")):
+            code = main(["verify-contraction", "--problem", "affine-contraction-10d",
+                         "--variant", "hardy-rogers", "--c1", "0.9", "--box", lo, hi])
+            runs.append((code, json.load(open("certificate.json"))))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK and runs[0][1]["pairs_checked"] > 0
 
     def test_nonfinite_witness_values_are_json_strings(self):
         code = main(["verify-contraction", "--problem", "doubling",

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from enrichedfp._fmt17 import fmt_array
 from enrichedfp.errors import InvalidConfig, InvalidInput, InverseError
 from enrichedfp.problems import get_problem
 from enrichedfp.solver import (
+    _KERNEL_MIN,
     IterationTrace,
     PairProblem,
     Scheme,
@@ -52,6 +57,13 @@ class TestConfig:
         assert cfg0.c == 1.0
         with pytest.raises(InvalidConfig):
             SolverConfig.with_delta(Scheme.SCHAEFER, Point.of(0.0), -0.5)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5])
+    def test_delta_must_be_nonnegative_and_finite(self, delta):
+        with pytest.raises(InvalidConfig, match="delta must be"):
+            SolverConfig.with_delta(Scheme.SCHAEFER, Point.of(0.0), delta)
+        with pytest.raises(InvalidConfig, match="delta must be"):
+            _cfg(Scheme.SCHAEFER, (0.0,), c=0.5, delta=delta)
 
     def test_threshold_validation(self):
         with pytest.raises(InvalidConfig):
@@ -483,18 +495,81 @@ class TestArrayTrace:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(min_value=1, max_value=5),
-           rows=st.integers(min_value=1, max_value=6))
+           rows=st.integers(min_value=1, max_value=6) | st.integers(min_value=100, max_value=3000))
     def test_csv_equals_per_float_format(self, data, dim, rows):
+        # from 100 rows up, blocks reach the vectorised formatter
         edges = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308])
         finite = edges | st.floats(allow_nan=False, allow_infinity=False)
-        xs = data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
-                                min_size=rows, max_size=rows))
-        res = tuple(data.draw(st.lists(finite, min_size=rows - 1, max_size=rows - 1)))
-        trace = IterationTrace(Scheme.PICARD, np.array(xs, dtype=float), res,
-                               Status.MAX_ITER_EXCEEDED)
-        points = tuple(Point(tuple(row)) for row in xs)
+        xs = data.draw(hnp.arrays(np.float64, (rows, dim), elements=finite))
+        res = tuple(data.draw(hnp.arrays(np.float64, rows - 1, elements=finite)).tolist())
+        trace = IterationTrace(Scheme.PICARD, xs, res, Status.MAX_ITER_EXCEEDED)
+        points = tuple(Point(tuple(row)) for row in xs.tolist())
         for coords in (True, False):
             assert trace.to_csv(coords) == _reference_csv(points, res, coords)
+
+
+def _kernel_text(x):
+    """The strings ``fmt_array`` lays out, one per value."""
+    return [row[row != 0].tobytes().decode("ascii") for row in fmt_array(x)]
+
+
+def _check_kernel(values):
+    """``fmt_array`` against ``"%.17g" % v``, on an array above the size threshold."""
+    x = np.resize(np.asarray(values, dtype=float), max(len(values), _KERNEL_MIN))
+    expected = ["%.17g" % v for v in x.tolist()]
+    assert _kernel_text(x) == expected
+
+
+# sign, then a biased exponent field from below 1e-11 to above 2**53, then the mantissa
+_FAST_BAND_BITS = st.builds(lambda sign, exp, mant: sign << 63 | exp << 52 | mant,
+                            st.integers(0, 1), st.integers(985, 1077),
+                            st.integers(0, 2**52 - 1))
+
+
+class TestFmtKernel:
+    """The exact vectorised "%.17g" against CPython's, value by value."""
+
+    def test_edge_values(self):
+        powers = [float(f"1e{k}") for k in range(-12, 18)]
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3e-320,
+                  float("nan"), float("inf"), float("-inf"), 1.7976931348623157e308,
+                  2.0**53, 1e-11, 1e-4, 1e-5, 0.5, 1.0, 123.0, 2.0**52 + 0.5]
+        for v in powers + [2.0**53, 1e-11]:
+            values += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+        values += [10.0**k for k in range(-12, 18)]
+        _check_kernel(values + [-v for v in values])
+
+    def test_exact_ties_round_half_to_even(self):
+        # x = M / 2**(P+1) with M odd is exact, and x * 10**P = M * 5**P / 2 = N + 1/2
+        rng = np.random.default_rng(7)
+        ties = []
+        for p in range(1, 25):
+            lo, hi = -(-(2 * 10**16 + 1) // 5**p), min(2**53, (2 * 10**17) // 5**p)
+            for m in rng.integers(lo, hi + 1, size=50).tolist():
+                m |= 1
+                if m * 5**p > 2 * 10**17:
+                    continue
+                x = m / 2**(p + 1)
+                n = (m * 5**p - 1) // 2
+                assert 10**16 <= n < 10**17 and Fraction(x) * 10**p == n + Fraction(1, 2)
+                ties.append(x)
+        assert len(ties) > 1000
+        _check_kernel(ties + [-t for t in ties])
+
+    def test_integers_print_as_decimal_integers(self):
+        n = np.concatenate((np.arange(3000.0), 2.0**53 - np.arange(1.0, 600.0)))
+        assert _kernel_text(n) == [str(int(v)) for v in n.tolist()]
+
+    def test_seeded_bulk(self):
+        rng = np.random.default_rng(20261017)
+        band = np.ldexp(rng.random(50_000) + 0.5, rng.integers(-40, 55, 50_000))
+        bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        _check_kernel(np.concatenate((band, -band * 3.0, bits)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1) | _FAST_BAND_BITS, min_size=1, max_size=64))
+    def test_bit_patterns(self, bits):
+        _check_kernel(np.array(bits, dtype=np.uint64).view(np.float64))
 
 
 def _iterate_public(scheme, f, cfg, pair):
