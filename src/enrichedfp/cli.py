@@ -91,9 +91,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads only -N and -N.M as negative numbers, so a value such as
-        # -1e3 or -1,2 would be taken for an option.  No option here starts with
-        # a digit: any "-<digit>" or "-.<digit>" is a value, as in Python 3.13
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # -1e3, -1,2 or -inf would be taken for an option.  No option here starts
+        # with a digit, -i or -n: any "-<digit>" or "-.<digit>" is a value, as in
+        # Python 3.13, and so are -inf, -infinity and -nan in any case
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
 
     # argparse exits 2 on bad usage; remap onto the config-error code instead
     def error(self, message):

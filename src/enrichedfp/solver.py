@@ -25,6 +25,7 @@ from .space import (
     Mapping,
     NormKind,
     Point,
+    _WrongShape,
     array_norm,
     block_sizes,
     check_commuting,
@@ -229,6 +230,8 @@ class PairProblem:
     f: Mapping
     s: Mapping
     s_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # a synthesized inverse also gets a stacked form: one solve for a block of rows
+    _inverse_rows = None
 
     def __post_init__(self):
         if self.f.dim != self.s.dim:
@@ -244,10 +247,41 @@ class PairProblem:
             if np.linalg.matrix_rank(a) < self.s.dim:
                 raise InvalidInput("affine S is singular; cannot synthesize inverse")
             object.__setattr__(self, "s_inverse", lambda y: np.linalg.solve(a, y - b))
+            # (k, d, 1) right-hand sides round as k solves of one vector each, in
+            # numpy 1.x and 2.x alike; solve(a, ys.T) would not
+            object.__setattr__(self, "_inverse_rows", lambda ys: np.linalg.solve(
+                np.broadcast_to(a, (len(ys), *a.shape)), (ys - b)[:, :, None])[:, :, 0])
 
     @property
     def dim(self) -> int:
         return self.f.dim
+
+    def _first_unreachable(self, ys: np.ndarray, tol: float) -> tuple[int, Optional[Exception]]:
+        """(i, error) for the first row y of ``ys`` that S(S^{-1}(y)) misses by more than
+        tol * max(1, ||y||), or that raises; (len(ys), None) if none does.  A non-finite
+        row passes, as in that comparison, and reaches no map.  A stacked call that
+        raises is redone row by row, so that the first failure in row order decides.
+        """
+        if self._inverse_rows is not None:
+            try:
+                miss = np.isfinite(ys).all(axis=1)  # the finite rows are checked
+                y = ys[miss]
+                reach = self.s.apply_batch(self._inverse_rows(y))
+                miss[miss] = row_norms(reach - y) > tol * np.maximum(1.0, row_norms(y))
+                return int(np.append(miss, True).argmax()), None
+            except Exception:
+                pass
+        for i, y in enumerate(ys):
+            try:
+                if np.isfinite(y).all():
+                    p = self.s_inverse(y)
+                    # a non-affine S is not called on a non-finite preimage: it reproduces nothing
+                    if not (self.s.is_affine or np.isfinite(p).all()) or (
+                            array_norm(self.s.apply(p) - y) > tol * max(1.0, array_norm(y))):
+                        return i, None
+            except Exception as exc:
+                return i, exc
+        return len(ys), None
 
     def validate_sampled(self, points: Sequence[Point], tol: float = 1e-9):
         """Check the inverse and commutation invariants on sample points."""
@@ -280,15 +314,14 @@ def _iterate(
 ) -> IterationTrace:
     """The one stepping loop: S u_{n+1} = (1-c) S u_n + c f(u_n), S = I without a pair.
 
-    Each step stores its iterate; the tol and divergence-bound tests then run
-    once per block of steps on the stored rows, through ``row_norms``, and the
-    first stop in step order ends the run, as a test after every step would.
-    The map is pure, so the steps computed past a stop, fewer than one block,
-    are discarded, and an error raised in one of them is dropped.  An iterate
-    that overflows to a non-finite value is divergence; the trace then ends at
-    the last finite iterate.  With a pair, every step also checks that f(u_n)
-    is reproducible as S(S^{-1}(f(u_n))), the sampled stand-in for range
-    inclusion of f in S.
+    Each step only computes, in place into the stored rows.  The checks run once
+    per block of steps on those rows: a non-finite iterate (divergence; the trace
+    ends at the last finite one), with a pair the range check f(u_n) = S(S^{-1}(f(u_n))),
+    the sampled stand-in for range inclusion of f in S, and S(S^{-1}(w)) = w, then
+    the tol and divergence-bound stops.  The first in step order ends the run, as
+    checks after every step would; an error raised in a step waits for them.  The
+    map is pure, so steps computed past the end, fewer than a block, are dropped.
+    Only affine maps and a synthesized inverse ever see a non-finite value.
     """
     if cfg.scheme is not scheme:
         raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected {scheme.value}")
@@ -299,6 +332,8 @@ def _iterate(
     c = 1.0 if scheme is Scheme.PICARD else cfg.c
     x = cfg.seed_point.as_array()
     sx = x if pair is None else pair.s.apply(x)
+    # steps that call a user's function check that they pass it finite values
+    guard = not (f.is_affine and (pair is None or pair._inverse_rows is not None))
     # row n holds iterate n; grown by doubling up to max_iter + 1 rows, so a huge
     # max_iter costs nothing up front and a run that uses its budget keeps no spare rows
     xs = np.empty((min(cfg.max_iter, 1023) + 1, f.dim))
@@ -306,6 +341,7 @@ def _iterate(
     # row n holds S u_n, whose differences the residuals measure; xs itself without a pair
     sxs = xs if pair is None else np.empty_like(xs)
     sxs[0] = sx
+    t = np.empty(f.dim)
     residuals: list[float] = []
     status = Status.MAX_ITER_EXCEEDED
     diverged_at = None
@@ -317,51 +353,66 @@ def _iterate(
             extra = min(len(xs), cfg.max_iter + 1 - len(xs))
             xs = np.concatenate((xs, np.empty_like(xs[:extra])))
             sxs = xs if pair is None else np.concatenate((sxs, np.empty_like(sxs[:extra])))
-        # steps a..end-1 are stored; an error at step end is held until they are tested
+        # step n writes f(u_{n-1}) to fs and w = (1-c) S u_{n-1} + c f(u_{n-1}) to ws, row
+        # n - a; without a pair w is the iterate.  A row f did not reach stays NaN
+        fs = xs[a:b + 1] if pair is None and c == 1.0 else np.full((b + 1 - a, f.dim), np.nan)
+        ws = xs[a:b + 1] if pair is None else fs if c == 1.0 else np.empty_like(fs)
+        # steps a..end-1 are stored; an error at step end waits for their checks
         end, held = b + 1, None
         try:
-            for n in range(a, b + 1):
-                fx = f.apply(x)
+            for n, fx, w in zip(range(a, b + 1), fs, ws):
+                f.apply_into(x, fx)
+                if c != 1.0:
+                    np.multiply(sx, 1.0 - c, out=w)
+                    np.multiply(fx, c, out=t)
+                    np.add(w, t, out=w)
+                x = w
                 if pair is not None:
-                    reachable = pair.s.apply(pair.s_inverse(fx))
-                    if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
-                        raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
-                w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
-                x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
-                if x_new.shape != x.shape:
-                    # a row store would broadcast a wrong-sized result silently
-                    raise InvalidInput(f"iterate {n} has shape {x_new.shape}, expected {x.shape}")
-                if not np.isfinite(x_new).all():
-                    end = n
+                    # a non-finite w is not passed on: it stands for the iterate
+                    if not guard or np.isfinite(w).all():
+                        x = np.asarray(pair.s_inverse(w), dtype=float)
+                    if x.shape != w.shape:
+                        # a row store would broadcast a wrong-sized result silently
+                        raise InvalidInput(f"iterate {n} has shape {x.shape}, expected {w.shape}")
+                    xs[n] = x
+                if guard and not np.isfinite(x).all():
+                    end = n + 1
                     break
-                if pair is None:
-                    sx = x_new
-                else:
-                    sx = pair.s.apply(x_new)
-                    if array_norm(sx - w) > cfg.tol * max(1.0, array_norm(w)):
-                        raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
-                    sxs[n] = sx
-                xs[n] = x = x_new
+                sx = x if pair is None else sxs[n]
+                if pair is not None:
+                    pair.s.apply_into(x, sx)
         except Exception as exc:
+            if pair is None and isinstance(exc, _WrongShape):
+                exc = InvalidInput(f"iterate {n} has shape {exc.shape}, expected {x.shape}")
             end, held = n, exc
+        # (step, rank, error), unique: within a step, events rank in the order it meets them
+        events = [] if held is None else [(end, 3, held)]
+        finite = np.isfinite(xs[a:end]).all(axis=1)
+        if not finite.all():
+            events.append((a + int(finite.argmin()), 4, None))
+        if pair is not None:
+            i, exc = pair._first_unreachable(fs[:end + 1 - a], cfg.tol)
+            if a + i <= min(end, b):
+                events.append((a + i, 2, exc or InverseError(
+                    f"f(u_{a + i - 1}) is not reproducible in the range of S", a + i)))
+            w = ws[:end - a]
+            miss = row_norms(sxs[a:end] - w) > cfg.tol * np.maximum(1.0, row_norms(w))
+            if miss.any():
+                n = a + int(miss.argmax())
+                events.append((n, 6, InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)))
         r = row_norms(sxs[a:end] - sxs[a - 1:end - 1], cfg.norm)
         stops = (r <= cfg.tol) | (row_norms(xs[a:end], cfg.norm) > cfg.divergence_bound)
         if stops.any():
-            j = int(stops.argmax())
-            residuals += r[: j + 1].tolist()
-            if r[j] <= cfg.tol:
-                status = Status.CONVERGED
-            else:
-                status = Status.DIVERGED
-                diverged_at = a + j
+            events.append((a + int(stops.argmax()), 7, None))
+        if events:
+            n, rank, exc = min(events)
+            residuals += r[: n - a + (rank == 7)].tolist()
+            if exc is not None:
+                raise exc
+            status = Status.CONVERGED if rank == 7 and r[n - a] <= cfg.tol else Status.DIVERGED
+            diverged_at = None if status is Status.CONVERGED else n
             break
         residuals += r.tolist()
-        if held is not None:
-            raise held
-        if end <= b:
-            status = Status.DIVERGED
-            diverged_at = end
-            break
         a = end
     xs = xs[: len(residuals) + 1]
     xs.setflags(write=False)

@@ -136,6 +136,14 @@ def distance(u: Point, v: Point, k: NormKind = NormKind.L2) -> float:
     return array_norm(u.as_array() - v.as_array(), k)
 
 
+class _WrongShape(InvalidInput):
+    """A map's result does not fit its row; ``shape`` is the result's."""
+
+    def __init__(self, shape: tuple, expected: tuple):
+        super().__init__(f"mapping returned shape {shape}, expected {expected}")
+        self.shape = shape
+
+
 @dataclass(frozen=True, eq=False)
 class Mapping:
     """A self-map of R^n, evaluable at any point.
@@ -164,6 +172,18 @@ class Mapping:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on a raw array without wrapping; used by inner loops."""
         return np.asarray(self.fn(x), dtype=float)
+
+    def apply_into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write ``apply(x)`` into ``out``, bit for bit; an affine map allocates nothing."""
+        if self.is_affine:
+            np.matmul(self.matrix, x, out=out)
+            np.add(out, self.offset, out=out)
+            return
+        y = self.apply(x)
+        if y.shape != out.shape:
+            # a (1,) result would broadcast into a wider row silently
+            raise _WrongShape(y.shape, out.shape)
+        out[...] = y
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate on every row of an (N, dim) block; row i equals ``apply(xs[i])`` bit for bit.

@@ -260,3 +260,101 @@ def test_map_that_raises_in_a_block_gives_the_reference_outcome(violation, error
         for run in (certify, reference_certify):
             with pytest.raises(EvaluationError):
                 run(variant, f, coeffs, sampler, NormKind.L2)
+
+
+# the solver's in-place kernels against the expressions they replaced: equal bits
+
+# signed zeros, subnormals and the largest magnitudes, where a reordering would show
+edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1e308, -1e308]) | st.floats(-1e6, 1e6)
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    both_nan = np.isnan(got) & np.isnan(want)
+    return got.shape == want.shape and np.array_equal(
+        np.where(both_nan, 0, got.view(np.uint64)), np.where(both_nan, 0, want.view(np.uint64)))
+
+
+def _array(data, shape):
+    n = int(np.prod(shape))
+    return np.array(data.draw(st.lists(edge_floats, min_size=n, max_size=n))).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=8))
+def test_apply_into_equals_apply(data, dim):
+    f = Mapping.affine(_array(data, (dim, dim)), _array(data, (dim,)))
+    x = _array(data, (dim,))
+    out = np.full(dim, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f.apply_into(x, out)
+        assert _same_bits(out, f.apply(x))
+
+
+def test_apply_into_equals_apply_200d_and_non_affine():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(200, 200)) * 10.0 ** rng.integers(-300, 300, size=(200, 1))
+    a[3, :7] = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.0, 2.2250738585072014e-308]
+    f = Mapping.affine(a, rng.normal(size=200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in rng.normal(size=(20, 200)) * 10.0 ** rng.integers(-10, 10, size=(20, 1)):
+            out = np.empty(200)
+            f.apply_into(x, out)
+            assert _same_bits(out, f.apply(x))
+    g = Mapping(fn=np.sin, dim=3)
+    out = np.empty(3)
+    g.apply_into(np.array([1.0, -0.0, 3.0]), out)
+    assert _same_bits(out, g.apply(np.array([1.0, -0.0, 3.0])))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 1), (2,)])
+def test_apply_into_refuses_a_result_of_another_shape(shape):
+    out = np.zeros(3)
+    with pytest.raises(InvalidInput, match=r"mapping returned shape"):
+        Mapping(fn=lambda x: np.ones(shape), dim=3).apply_into(np.zeros(3), out)
+    assert not out.any()
+
+
+def _hilbert(d):
+    i = np.arange(d)
+    return 1.0 / (i[:, None] + i[None, :] + 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 50])
+@pytest.mark.parametrize("conditioning", ["random", "ill"])
+def test_stacked_inverse_equals_per_row_inverse(d, conditioning):
+    from enrichedfp.solver import PairProblem
+
+    rng = np.random.default_rng(d)
+    # the Hilbert matrix of order 10 has a condition number near 1.6e13
+    a = _hilbert(min(d, 10)) if conditioning == "ill" else rng.normal(size=(d, d))
+    if conditioning == "ill" and d > 10:
+        a = np.eye(d)
+        a[:10, :10] = _hilbert(10)
+    pair = PairProblem(Mapping.identity(d), Mapping.affine(a, rng.normal(size=d)))
+    ys = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-5, 5, size=(40, 1))
+    stacked = pair._inverse_rows(ys)
+    for y, got in zip(ys, stacked):
+        assert _same_bits(got, pair.s_inverse(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=8),
+       c=st.sampled_from([1.0, 0.5, 0.001, 1e-300]) | st.floats(min_value=1e-9, max_value=1.0))
+def test_in_place_average_equals_the_expression(data, dim, c):
+    from enrichedfp.solver import Scheme, SolverConfig, Status, run_schaefer
+
+    sx, fx = _array(data, (dim,)), _array(data, (dim,))
+    # a constant map, so that step 1 is (1 - c) * u_0 + c * fx; at c = 1 it is fx itself,
+    # which differs from the expression in the sign of a zero
+    f = Mapping(fn=lambda x: fx, dim=dim)
+    cfg = SolverConfig(Scheme.SCHAEFER, Point(tuple(sx)), c=c, max_iter=1,
+                       divergence_bound=np.inf, tol=5e-324)
+    trace = run_schaefer(f, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = fx if c == 1.0 else (1.0 - c) * sx + c * fx
+    if np.isfinite(want).all():
+        assert _same_bits(trace.xs[1], want)
+    else:
+        assert trace.status is Status.DIVERGED and len(trace.xs) == 1

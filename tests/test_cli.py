@@ -128,6 +128,13 @@ class TestRun:
         assert code == EXIT_OK
         assert open("trace.csv").read().splitlines()[1] == "0,,-1000,0.25"
 
+    @pytest.mark.parametrize("start", ["-inf", "-nan", "-Infinity", "-INF", "-NaN"])
+    def test_negative_nonfinite_start_is_a_value(self, capsys, start):
+        code = main(["run", "--problem", "half-map", "--start", start])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: point coordinates must be finite")
+
     def test_rerun_byte_identical(self):
         args = ["run", "--problem", "half-map", "--scheme", "schaefer",
                 "--c", "0.25", "--start", "3"]
@@ -268,6 +275,18 @@ class TestVerifyContraction:
             runs.append((code, json.load(open("certificate.json"))))
         assert runs[0] == runs[1]
         assert runs[0][0] == EXIT_OK and runs[0][1]["pairs_checked"] > 0
+
+    @pytest.mark.parametrize("lo,message", [
+        ("-inf", "error: sampling box [-inf, 1.0] yields non-finite points"),
+        ("-Infinity", "error: sampling box [-inf, 1.0] yields non-finite points"),
+        # NaN fails the lo < hi test first
+        ("-nan", "error: empty sampling box [nan, 1.0]"),
+    ])
+    def test_negative_nonfinite_box_bound_is_a_value(self, capsys, lo, message):
+        code = main(["verify-contraction", "--problem", "half-map", "--variant",
+                     "hardy-rogers", "--c1", "0.5", "--box", lo, "1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == message
 
     def test_nonfinite_witness_values_are_json_strings(self):
         code = main(["verify-contraction", "--problem", "doubling",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -405,6 +406,50 @@ def _pair_inverse_until(limit):
     )
 
 
+def _expanding_pair(s_inverse=None):
+    """f = 4x, S = 2x: with c = 0.5, u_n = 1.5 u_{n-1}, f(u_{n-1}) = 4 u_{n-1} and w_n = 3 u_{n-1}."""
+    return PairProblem(Mapping.affine([[4.0]], [0.0]), Mapping.affine([[2.0]], [0.0]), s_inverse)
+
+
+def _overflow_seed(step):
+    """A seed from which the expanding pair's iterate first overflows at ``step``."""
+    pair = _expanding_pair()
+    cfg = _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5, max_iter=5000, divergence_bound=np.inf)
+    iterates, _, status, diverged_at = _reference_iterate(Scheme.JUNGCK_SCHAEFER, pair.f, cfg, pair)
+    assert status is Status.DIVERGED
+    return iterates[diverged_at - step].coords[0]
+
+
+def _scripted_inverse(**events):
+    """s_inverse of the expanding pair from u_0 = 1: it halves, except where ``events`` says.
+
+    A key "fx<n>" names f(u_{n-1}) = 4 * 1.5^(n-1), which the range check of step n
+    inverts; "w<n>" names w_n = 3 * 1.5^(n-1), which step n inverts.  A value "miss"
+    returns a preimage 1e-6 too large, so that S misses the input but the trajectory
+    stays recognisable; "inf" returns inf and "raise" raises.
+    """
+    def inverse(y):
+        v = y[0]
+        for name, base in (("w", 3.0), ("fx", 4.0)):
+            k = math.log(v / base, 1.5) if 0.0 < v < np.inf else 0.5
+            action = events.get(f"{name}{round(k) + 1}") if abs(k - round(k)) < 0.05 else None
+            if action == "miss":
+                return y / 2.0 * (1.0 + 1e-6)
+            if action == "inf":
+                return np.array([np.inf])
+            if action == "raise":
+                raise ValueError(f"refused to invert {v}")
+        return y / 2.0
+    return inverse
+
+
+def _shrinking3(shape):
+    """x -> x / 2 on R^3 while max |x| >= 2^-10, then a result of ``shape``: step 13 from (1, -2, 3)."""
+    def fn(x):
+        return x / 2.0 if np.abs(x).max() >= 2.0**-10 else np.full(shape, x[0])
+    return Mapping(fn=fn, dim=3)
+
+
 def _equivalence_cases():
     """(id, scheme, f, pair, cfg, iterations it must stop at, or None).
 
@@ -462,6 +507,52 @@ def _equivalence_cases():
         yield (f"pair-range-at-{limit:g}", Scheme.JUNGCK_SCHAEFER, guarded.f, guarded,
                _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5, divergence_bound=0.9 * 1.5**20),
                stop)
+    # a pair overflows on a block's first row (9), in its middle (16) and on its last
+    # row (24); at the bound 1e308 the overflow step is also the first past the bound
+    expanding = _expanding_pair()
+    for step in (9, 16, 24):
+        seed = _overflow_seed(step)
+        for bound in (np.inf, 1e308):
+            yield (f"pair-overflow-{step}-{bound:g}", Scheme.JUNGCK_SCHAEFER, expanding.f,
+                   expanding, _cfg(Scheme.JUNGCK_SCHAEFER, (seed,), c=0.5,
+                                   divergence_bound=bound), step - 1)
+    # S u_0 = 2e308 overflows at the seed; with c = 1, w = f(u_0) never meets it
+    for c, stop in ((0.5, 0), (1.0, 1)):
+        yield (f"jungck-start-1e308-c{c:g}", Scheme.JUNGCK_SCHAEFER, pair.f, pair,
+               _cfg(Scheme.JUNGCK_SCHAEFER, (1e308,), c=c), stop)
+    yield ("overflow-at-bound", Scheme.PICARD, doubling, None,
+           _cfg(Scheme.PICARD, (2.0**1010,), divergence_bound=1.7e308), 13)
+    # an explicit s_inverse fails the range check, gives a non-finite iterate, fails
+    # S(S^{-1}(w)) = w or raises, on one step of the block of steps 9..24 or on two
+    # adjacent ones, in both orders; the first in step order decides
+    scripts = [
+        {"fx12": "miss"}, {"w12": "inf"}, {"w12": "miss"}, {"fx12": "miss", "w12": "inf"},
+        {"fx12": "miss", "w13": "inf"}, {"w12": "inf", "fx13": "miss"},
+        {"fx12": "miss", "w13": "miss"}, {"w12": "miss", "fx13": "miss"},
+        {"w12": "inf", "w13": "miss"}, {"w12": "miss", "w13": "inf"},
+        {"w12": "miss", "w13": "miss"},
+        {"fx12": "raise"}, {"w12": "raise"}, {"fx12": "raise", "w11": "miss"},
+        {"w12": "raise", "fx12": "miss"}, {"fx12": "inf"},
+        {"fx13": "raise", "w12": "miss"}, {"w12": "raise", "w13": "inf"},
+    ]
+    for script in scripts:
+        scripted = _expanding_pair(_scripted_inverse(**script))
+        name = "-".join(f"{k}:{v}" for k, v in script.items())
+        yield (f"scripted-{name}", Scheme.JUNGCK_SCHAEFER, scripted.f, scripted,
+               _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5, max_iter=40), None)
+    # u_10 = 1.5^10 is past the bound: that stop comes before the failure at step 12
+    scripted = _expanding_pair(_scripted_inverse(w12="raise"))
+    yield ("scripted-bound-before-raise", Scheme.JUNGCK_SCHAEFER, scripted.f, scripted,
+           _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5, divergence_bound=0.9 * 1.5**10), 10)
+    # a 3-d map whose result at step 13 has the wrong shape; none may be broadcast
+    for shape in ((1,), (3, 1)):
+        yield (f"shape-{shape}", Scheme.PICARD, _shrinking3(shape), None,
+               _cfg(Scheme.PICARD, (1.0, -2.0, 3.0)), None)
+    # every map a user's function: the same trace, though none sees the overflow
+    plain = PairProblem(Mapping(fn=lambda x: 4.0 * x, dim=1), Mapping(fn=lambda x: 2.0 * x, dim=1),
+                        s_inverse=lambda y: y / 2.0)
+    yield ("user-pair-overflow", Scheme.JUNGCK_SCHAEFER, plain.f, plain,
+           _cfg(Scheme.JUNGCK_SCHAEFER, (_overflow_seed(16),), c=0.5, divergence_bound=np.inf), 15)
 
 
 class TestArrayTrace:
@@ -506,6 +597,106 @@ class TestArrayTrace:
         points = tuple(Point(tuple(row)) for row in xs.tolist())
         for coords in (True, False):
             assert trace.to_csv(coords) == _reference_csv(points, res, coords)
+
+
+def _recorded(fn, seen):
+    def wrapped(x):
+        seen.append(np.array(x, dtype=float))
+        return fn(x)
+    return wrapped
+
+
+class TestBlockChecks:
+    """The per-block checks: no user function sees a non-finite value, and a stacked
+    range check that raises is redone row by row."""
+
+    @pytest.mark.parametrize("affine_maps", [False, True])
+    def test_no_user_function_sees_a_non_finite_value(self, affine_maps):
+        seen = []
+        if affine_maps:
+            f, s = Mapping.affine([[4.0]], [0.0]), Mapping.affine([[2.0]], [0.0])
+        else:
+            f = Mapping(fn=_recorded(lambda x: 4.0 * x, seen), dim=1)
+            s = Mapping(fn=_recorded(lambda x: 2.0 * x, seen), dim=1)
+        pair = PairProblem(f, s, s_inverse=_recorded(lambda y: y / 2.0, seen))
+        for c in (0.5, 1.0):
+            cfg = _cfg(Scheme.JUNGCK_SCHAEFER, (_overflow_seed(16),), c=c,
+                       divergence_bound=np.inf)
+            assert run_jungck_schaefer(pair, cfg).status is Status.DIVERGED
+        doubling = Mapping(fn=_recorded(lambda x: 2.0 * x, seen), dim=1)
+        for scheme, c in ((Scheme.PICARD, 1.0), (Scheme.SCHAEFER, 0.5)):
+            cfg = _cfg(scheme, (2.0**1010,), c=c, divergence_bound=np.inf)
+            assert _iterate_public(scheme, doubling, cfg, None).status is Status.DIVERGED
+        assert len(seen) > 50
+        assert all(np.isfinite(x).all() for x in seen)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=3),
+           scheme=st.sampled_from(list(Scheme)), norm=st.sampled_from(list(NormKind)),
+           c=st.sampled_from([1.0, 0.5, 0.01]), max_iter=st.integers(min_value=1, max_value=300))
+    def test_random_affine_runs_match_the_reference(self, data, dim, scheme, norm, c, max_iter):
+        # entries up to 3 in size: runs that converge, wander, hit the bound or overflow
+        entries = st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False)
+
+        def draw(shape):
+            return np.array(data.draw(hnp.arrays(np.float64, shape, elements=entries)))
+        f = Mapping.affine(draw((dim, dim)), draw((dim,)))
+        pair = None
+        if scheme is Scheme.JUNGCK_SCHAEFER:
+            s = draw((dim, dim)) + 4.0 * np.eye(dim)
+            pair = PairProblem(f, Mapping.affine(s, draw((dim,))))
+        seed = tuple(data.draw(st.floats(-1e300, 1e300)) for _ in range(dim))
+        cfg = _cfg(scheme, seed, c=c, max_iter=max_iter, norm=norm,
+                   tol=data.draw(st.sampled_from([1e-12, 1e-6])),
+                   divergence_bound=data.draw(st.sampled_from([1e6, 1e300, np.inf])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = _reference_iterate(scheme, f, cfg, pair)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as err:
+                    _iterate_public(scheme, f, cfg, pair)
+                assert str(err.value) == str(exc)
+                assert getattr(err.value, "iteration", None) == getattr(exc, "iteration", None)
+                return
+        trace = _iterate_public(scheme, f, cfg, pair)
+        assert (trace.iterates, trace.residuals, trace.status, trace.diverged_at) == want
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 1)])
+    def test_wrong_shaped_map_result_is_not_broadcast_when_averaged(self, shape):
+        with pytest.raises(InvalidInput) as err:
+            run_schaefer(_shrinking3(shape), _cfg(Scheme.SCHAEFER, (1.0, -2.0, 3.0), c=0.5))
+        # at c = 0.5 the iterate shrinks by 3/4 a step: max |u_28| = 3 (3/4)^28 < 2^-10
+        assert str(err.value) == f"iterate 29 has shape {shape}, expected (3,)"
+
+    def test_stacked_range_check_that_raises_is_redone_row_by_row(self):
+        pair = get_problem("jungck-linear").pair()
+        cfg = _cfg(Scheme.JUNGCK_SCHAEFER, (1e4,), c=0.01, max_iter=300)
+        expected = run_jungck_schaefer(pair, cfg)
+
+        def refuse(ys):
+            raise ValueError("stacked solve refused")
+        object.__setattr__(pair, "_inverse_rows", refuse)
+        trace = run_jungck_schaefer(pair, cfg)
+        assert np.array_equal(trace.xs, expected.xs)
+        assert trace.residuals == expected.residuals
+
+    def test_first_unreachable_row_decides(self):
+        ys = np.array([[1.0], [2.0], [np.inf], [3.0], [np.nan], [5.0], [6.0]])
+        pair = _expanding_pair()
+        assert pair._first_unreachable(ys, 1e-10) == (len(ys), None)
+        assert pair._first_unreachable(ys[:0], 1e-10) == (0, None)
+        # a stacked inverse that misses rows 3 and 5: the first decides
+        object.__setattr__(pair, "_inverse_rows",
+                           lambda y: np.where((y == 3.0) | (y == 5.0), y, y / 2.0))
+        assert pair._first_unreachable(ys, 1e-10) == (3, None)
+        # row by row, an error and a miss: the first decides
+        for bad, first in (({3.0: "miss", 6.0: "raise"}, 3), ({1.0: "raise", 5.0: "miss"}, 0)):
+            def inverse(y, bad=bad):
+                if bad.get(y[0]) == "raise":
+                    raise ValueError("refused")
+                return y if bad.get(y[0]) == "miss" else y / 2.0
+            i, exc = _expanding_pair(inverse)._first_unreachable(ys, 1e-10)
+            assert i == first and isinstance(exc, ValueError) == (bad[ys[first, 0]] == "raise")
 
 
 def _kernel_text(x):
