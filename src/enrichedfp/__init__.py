@@ -43,26 +43,19 @@ from .problems import (
     builtin_problems,
     get_problem,
     oracle_fixed_point_1d,
-    probe_starts,
     random_affine,
 )
 from .solver import (
     IterationTrace,
     PairProblem,
-    ProbeReport,
     Scheme,
     SolverConfig,
     Status,
     run_jungck_schaefer,
     run_picard,
     run_schaefer,
-    uniqueness_probe,
-    verdict_common_fixed_point,
-    verdict_fixed_point,
 )
 from .space import (
-    AveragedMap,
-    CommuteResult,
     Mapping,
     NormKind,
     Point,

@@ -410,7 +410,8 @@ def main(argv=None) -> int:
             run.set_defaults(**_parse_config_file(args.config))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, InvalidConfig, InvalidInput, NoRootBracketed) as exc:
+    # an OSError is an output path that cannot be written: a bad flag
+    except (ConfigError, InvalidConfig, InvalidInput, NoRootBracketed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, InverseError) as exc:

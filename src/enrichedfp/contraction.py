@@ -87,11 +87,6 @@ class Coefficients:
         if self.sum_mode is SumMode.EXACTLY_ONE and abs(total - 1.0) > EXACTLY_ONE_SLACK:
             raise InvalidInput(f"weights must sum to 1, got {total}")
 
-    @property
-    def implied_c(self) -> float:
-        """Averaging parameter 1 / (1 + delta) used by the matching solver runs."""
-        return 1.0 / (1.0 + self.delta)
-
 
 class Variant(enum.Enum):
     HARDY_ROGERS = "hardy-rogers"
@@ -285,14 +280,17 @@ class PairSampler:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidInput("sampler dimension must be positive")
-        if not self.lo < self.hi:
-            raise InvalidInput(f"empty sampling box [{self.lo}, {self.hi}]")
-        # the extreme coordinates sampled: lo, the midpoint and hi nudged by _NEAR
+        # the extreme coordinates sampled: lo, the midpoint and hi nudged by _NEAR;
+        # tested first, so that a NaN bound is not reported as an empty box
         extremes = [self.lo, 0.5 * (self.lo + self.hi), self.hi + _NEAR * (self.hi - self.lo)]
         if not np.isfinite(extremes).all():
             raise InvalidInput(f"sampling box [{self.lo}, {self.hi}] yields non-finite points")
+        if not self.lo < self.hi:
+            raise InvalidInput(f"empty sampling box [{self.lo}, {self.hi}]")
         if self.count < 0:
             raise InvalidInput("negative pair count")
+        if self.seed < 0:
+            raise InvalidInput(f"negative sampler seed {self.seed}")
 
     def structured(self) -> list[tuple[np.ndarray, np.ndarray]]:
         lo, hi, d = self.lo, self.hi, self.dim
@@ -452,7 +450,7 @@ def certify(
     if s is not None:
         heads = np.concatenate([us[:64] for us, _ in blocks])[:64]
         samples = [Point.from_array(ua) for ua in heads]
-        witness = check_commuting(f, s, samples, tol).witness
+        witness = check_commuting(f, s, samples, tol)
         if witness is not None:
             raise InvalidConfig(f"companion map does not commute with f at {witness.coords}")
 

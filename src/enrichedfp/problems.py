@@ -24,7 +24,6 @@ __all__ = [
     "get_problem",
     "random_affine",
     "oracle_fixed_point_1d",
-    "probe_starts",
 ]
 
 
@@ -210,10 +209,3 @@ def oracle_fixed_point_1d(f: Mapping, lo: float, hi: float, tol: float = 1e-12) 
         else:
             a, ga = m, gm
     return Point.of(0.5 * (a + b_))
-
-
-def probe_starts(problem: ProblemInstance, n: int = 5) -> list[Point]:
-    """Spread-out start points along the diagonal of the problem box."""
-    lo, hi = problem.box
-    dim = problem.f.dim
-    return [Point.from_array(t * np.ones(dim)) for t in np.linspace(lo, hi, n)]

@@ -1,9 +1,10 @@
 """Iteration engines with stopping rules, divergence detection, and traces.
 
 Three schemes: direct successive approximation (Picard), the averaged scheme
-u_n = (1-c) u_{n-1} + c f(u_{n-1}), and the pair scheme
-S u_{n+1} = (1-c) S u_n + c f(u_n) which needs an explicit inverse of S to
-advance (for affine S the inverse is synthesized by linear solve).
+u_n = (1-c) u_{n-1} + c f(u_{n-1}), whose map has the fixed points of f for
+every c in (0, 1] and so also serves maps Picard cannot handle, and the pair
+scheme S u_{n+1} = (1-c) S u_n + c f(u_n) which needs an explicit inverse of S
+to advance (for affine S the inverse is synthesized by linear solve).
 
 Residuals are ||u_{n+1} - u_n|| in the configured norm; the pair scheme
 instead tracks ||S u_{n+1} - S u_n||, the sequence its convergence argument
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .space import (
     _WrongShape,
     array_norm,
     block_sizes,
-    check_commuting,
-    distance,
     row_norms,
 )
 
@@ -39,13 +38,9 @@ __all__ = [
     "SolverConfig",
     "IterationTrace",
     "PairProblem",
-    "ProbeReport",
     "run_picard",
     "run_schaefer",
     "run_jungck_schaefer",
-    "verdict_fixed_point",
-    "verdict_common_fixed_point",
-    "uniqueness_probe",
 ]
 
 DELTA_C_SLACK = 1e-12
@@ -124,7 +119,7 @@ class IterationTrace:
     """Full record of a run: iterates (seed first), residuals, and the stop reason.
 
     ``xs`` holds iterate n in row n as a read-only float64 array; ``Point``s
-    are built only when ``iterates``, ``last`` or ``limit()`` is read.
+    are built only when ``last`` or ``limit()`` is read.
     """
 
     scheme: Scheme
@@ -132,11 +127,6 @@ class IterationTrace:
     residuals: tuple[float, ...]
     status: Status
     diverged_at: Optional[int] = None
-
-    @property
-    def iterates(self) -> tuple[Point, ...]:
-        """Every iterate as a ``Point``, seed first; built anew on each read."""
-        return tuple(Point.from_array(row) for row in self.xs)
 
     @property
     def wall_iterations(self) -> int:
@@ -283,17 +273,6 @@ class PairProblem:
                 return i, exc
         return len(ys), None
 
-    def validate_sampled(self, points: Sequence[Point], tol: float = 1e-9):
-        """Check the inverse and commutation invariants on sample points."""
-        for p in points:
-            x = p.as_array()
-            back = self.s_inverse(self.s.apply(x))
-            if array_norm(back - x) > tol * max(1.0, array_norm(x)):
-                raise InvalidInput(f"s_inverse(S(p)) != p at {p.coords}")
-        witness = check_commuting(self.f, self.s, points, tol).witness
-        if witness is not None:
-            raise InvalidInput(f"f and S do not commute at {witness.coords}")
-
 
 def run_jungck_schaefer(p: PairProblem, cfg: SolverConfig) -> IterationTrace:
     """Pair iteration: S u_{n+1} = (1-c) S u_n + c f(u_n), advanced via S^{-1}.
@@ -422,61 +401,4 @@ def _iterate(
         residuals=tuple(residuals),
         status=status,
         diverged_at=diverged_at,
-    )
-
-
-def verdict_fixed_point(
-    f: Mapping, u: Point, k: NormKind = NormKind.L2, tol: float = 1e-8
-) -> bool:
-    """True iff ||f(u) - u|| <= tol."""
-    return distance(f(u), u, k) <= tol
-
-
-def verdict_common_fixed_point(
-    p: PairProblem, u: Point, k: NormKind = NormKind.L2, tol: float = 1e-8
-) -> bool:
-    """True iff u is fixed by both members of the pair."""
-    return verdict_fixed_point(p.f, u, k, tol) and verdict_fixed_point(p.s, u, k, tol)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Agreement of averaged-iteration limits across several start points."""
-
-    all_agree: bool
-    limit_points: tuple[Point, ...]
-    statuses: tuple[Status, ...]
-    non_converged: tuple[int, ...]  # indices of starts that failed to converge
-
-
-def uniqueness_probe(
-    f: Mapping, cfg: SolverConfig, starts: Sequence[Point]
-) -> ProbeReport:
-    """Run the averaged scheme from each start and compare the limits.
-
-    all_agree is true iff every pair of converged limits lies within
-    10 * cfg.tol; non-converged starts are excluded and flagged by index.
-    """
-    if len(starts) < 2 or len(set(p.coords for p in starts)) < 2:
-        raise InvalidInput("uniqueness probe needs at least 2 distinct start points")
-    limits: list[Point] = []
-    statuses: list[Status] = []
-    failed: list[int] = []
-    for i, start in enumerate(starts):
-        trace = run_schaefer(f, replace(cfg, scheme=Scheme.SCHAEFER, seed_point=start))
-        statuses.append(trace.status)
-        if trace.status is Status.CONVERGED:
-            limits.append(trace.limit())
-        else:
-            failed.append(i)
-    agree = all(
-        distance(a, b, cfg.norm) <= 10.0 * cfg.tol
-        for i, a in enumerate(limits)
-        for b in limits[i + 1:]
-    )
-    return ProbeReport(
-        all_agree=agree,
-        limit_points=tuple(limits),
-        statuses=tuple(statuses),
-        non_converged=tuple(failed),
     )

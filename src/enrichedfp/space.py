@@ -3,9 +3,6 @@
 Points are immutable real vectors with a selectable norm (L1, L2, Linf);
 mappings are self-maps of R^n, optionally carrying an exact affine
 representation so that linear-solve oracles are available downstream.
-The averaged transform f_c(u) = (1-c)u + c f(u) shares its fixed-point
-set with f for every c in (0, 1], which is what makes it useful as an
-iteration scheme on maps that Picard iteration cannot handle.
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +20,6 @@ __all__ = [
     "NormKind",
     "Point",
     "Mapping",
-    "AveragedMap",
-    "CommuteResult",
     "norm",
     "array_norm",
     "row_norms",
@@ -252,66 +247,17 @@ class Mapping:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class AveragedMap:
-    """The averaged transform u -> (1-c) u + c f(u), c in (0, 1].
-
-    Fixed points coincide with those of the base map; c = 1 reduces to the
-    base map exactly.
-    """
-
-    base: Mapping
-    c: float
-
-    def __post_init__(self):
-        if not (0.0 < self.c <= 1.0):
-            raise InvalidInput(f"averaging parameter must be in (0, 1], got {self.c}")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.c == 1.0:
-            return self.base.apply(x)
-        return (1.0 - self.c) * x + self.c * self.base.apply(x)
-
-    def __call__(self, u: Point) -> Point:
-        if u.dim != self.base.dim:
-            raise InvalidInput(
-                f"averaged map of dimension {self.base.dim} applied to point of "
-                f"dimension {u.dim}"
-            )
-        if self.c == 1.0:
-            return self.base(u)
-        return Point.from_array(self.apply(u.as_array()))
-
-    def as_mapping(self) -> Mapping:
-        """Materialize as a Mapping; affinity of the base is preserved."""
-        label = f"averaged({self.base.label or 'f'}, c={self.c})"
-        if self.base.is_affine:
-            n = self.base.dim
-            a = (1.0 - self.c) * np.eye(n) + self.c * self.base.matrix
-            return Mapping.affine(a, self.c * self.base.offset, label=label)
-        return Mapping(fn=self.apply, dim=self.base.dim, label=label)
-
-
-class CommuteResult(NamedTuple):
-    commutes: bool
-    witness: Optional[Point]
-
-
 def check_commuting(
     f: Mapping,
     s: Mapping,
     samples: Sequence[Point],
     tol: float = 1e-9,
     k: NormKind = NormKind.L2,
-) -> CommuteResult:
-    """Sampled commutation check: ||f(s(p)) - s(f(p))|| <= tol * max(1, ||p||) at every sample.
+) -> Optional[Point]:
+    """The first sample p with ||f(s(p)) - s(f(p))|| > tol * max(1, ||p||), or None.
 
-    The tolerance is relative at large scale, where an absolute gap means
-    nothing.  Returns the first violating sample as witness on failure.
+    None means every sample commutes.  The tolerance is relative at large
+    scale, where an absolute gap means nothing.
     """
     if f.dim != s.dim:
         raise InvalidInput(f"dimension mismatch: {f.dim} vs {s.dim}")
@@ -320,5 +266,5 @@ def check_commuting(
     for p in samples:
         gap = distance(f(s(p)), s(f(p)), k)
         if gap > tol * max(1.0, norm(p, k)):
-            return CommuteResult(False, p)
-    return CommuteResult(True, None)
+            return p
+    return None

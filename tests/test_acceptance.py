@@ -26,7 +26,7 @@ from enrichedfp.contraction import (
     hr_sides,
     jungck_sides,
 )
-from enrichedfp.problems import builtin_problems, probe_starts, random_affine
+from enrichedfp.problems import builtin_problems, random_affine
 from enrichedfp.solver import (
     PairProblem,
     Scheme,
@@ -35,9 +35,6 @@ from enrichedfp.solver import (
     run_jungck_schaefer,
     run_picard,
     run_schaefer,
-    uniqueness_probe,
-    verdict_common_fixed_point,
-    verdict_fixed_point,
 )
 from enrichedfp.space import Mapping, Point, distance
 
@@ -110,7 +107,8 @@ def test_criterion_3_limits_fix_the_base_map():
                 if trace.status is not Status.CONVERGED:
                     continue
                 converged_runs += 1
-                assert verdict_fixed_point(problem.f, trace.limit(), tol=1e-8), (
+                limit = trace.limit()
+                assert distance(problem.f(limit), limit) <= 1e-8, (
                     f"{problem.name} at c={c}: limit does not fix the base map"
                 )
         assert converged_runs >= 20  # the suite is not vacuous
@@ -120,8 +118,8 @@ def test_criterion_4_residual_monotonicity():
     with criterion(4, "residuals never increase along certified averaged traces"):
         for problem in _certified():
             _, coeffs = problem.certified_as
-            cfg = SolverConfig(
-                Scheme.SCHAEFER, _start_for(problem), c=coeffs.implied_c, tol=1e-10
+            cfg = SolverConfig.with_delta(
+                Scheme.SCHAEFER, _start_for(problem), coeffs.delta, tol=1e-10
             )
             trace = run_schaefer(problem.f, cfg)
             assert trace.status is Status.CONVERGED, problem.name
@@ -139,7 +137,9 @@ def test_criterion_5_common_fixed_point_of_the_pair():
             SolverConfig(Scheme.JUNGCK_SCHAEFER, Point.of(1.0), c=0.5, tol=1e-10),
         )
         assert trace.status is Status.CONVERGED
-        assert verdict_common_fixed_point(pair.pair(), trace.limit(), tol=1e-8)
+        limit = trace.limit()
+        assert distance(pair.f(limit), limit) <= 1e-8
+        assert distance(pair.s(limit), limit) <= 1e-8
 
         f = pair.f
         ident = Mapping.identity(1)
@@ -150,7 +150,7 @@ def test_criterion_5_common_fixed_point_of_the_pair():
         ts = run_schaefer(
             f, SolverConfig(Scheme.SCHAEFER, Point.of(1.0), c=0.5, tol=1e-10)
         )
-        assert tj.iterates == ts.iterates  # coordinate-identical
+        assert tj.xs.tobytes() == ts.xs.tobytes()  # bit-identical
         assert tj.residuals == ts.residuals
 
 
@@ -215,25 +215,29 @@ def test_criterion_8_reduction_identities():
         half = Mapping.affine([[0.5]], [0.0])
         tp = run_picard(half, SolverConfig(Scheme.PICARD, Point.of(3.0), tol=1e-10))
         ts = run_schaefer(half, SolverConfig(Scheme.SCHAEFER, Point.of(3.0), c=1.0, tol=1e-10))
-        assert ts.iterates == tp.iterates
+        assert ts.xs.tobytes() == tp.xs.tobytes()
         assert ts.residuals == tp.residuals
 
 
-def test_criterion_9_uniqueness_probe():
+def _limits(f, starts, **kw):
+    """Averaged-iteration limits from each start; every run must converge."""
+    traces = [run_schaefer(f, SolverConfig.with_delta(Scheme.SCHAEFER, u, **kw)) for u in starts]
+    assert all(t.status is Status.CONVERGED for t in traces)
+    return [t.limit() for t in traces]
+
+
+def test_criterion_9_limits_agree_from_spread_starts():
     with criterion(9, "limits agree from spread starts; identity map is flagged"):
         for problem in _certified():
             _, coeffs = problem.certified_as
-            cfg = SolverConfig(
-                Scheme.SCHAEFER,
-                _start_for(problem),
-                c=coeffs.implied_c,
-                tol=1e-10,
-            )
-            report = uniqueness_probe(problem.f, cfg, probe_starts(problem, n=5))
-            assert report.non_converged == (), problem.name
-            assert report.all_agree, problem.name
+            lo, hi = problem.box
+            # five starts spread along the diagonal of the box
+            starts = [Point.from_array(np.full(problem.f.dim, t)) for t in np.linspace(lo, hi, 5)]
+            limits = _limits(problem.f, starts, delta=coeffs.delta, tol=1e-10)
+            for i, a in enumerate(limits):
+                for b in limits[i + 1:]:
+                    assert distance(a, b) <= 10 * 1e-10, problem.name
 
         ident = Mapping.identity(1)
-        cfg = SolverConfig(Scheme.SCHAEFER, Point.of(0.0), c=0.5, tol=1e-10)
-        report = uniqueness_probe(ident, cfg, [Point.of(0.0), Point.of(1.0)])
-        assert not report.all_agree
+        a, b = _limits(ident, [Point.of(0.0), Point.of(1.0)], delta=1.0, tol=1e-10)
+        assert distance(a, b) > 10 * 1e-10

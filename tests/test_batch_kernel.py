@@ -57,7 +57,7 @@ def reference_certify(variant, f, coeffs, sampler, k, tol=1e-9):
     s = variant.s_map if variant.is_jungck else None
     if s is not None:
         samples = [Point.from_array(ua) for ua, _ in pair_list[:64]]
-        witness = check_commuting(f, s, samples, tol).witness
+        witness = check_commuting(f, s, samples, tol)
         if witness is not None:
             raise InvalidConfig(f"companion map does not commute with f at {witness.coords}")
     m_zero_seen = False

@@ -260,7 +260,9 @@ class TestVerifyContraction:
         ["--tol", "nan"],
         ["--tol", "-1"],
         ["--box", "0", "1.7976931348623157e308"],
-    ], ids=["delta-inf", "delta-nan", "tol-nan", "tol-negative", "box-overflows"])
+        ["--seed", "-1"],
+    ], ids=["delta-inf", "delta-nan", "tol-nan", "tol-negative", "box-overflows",
+            "seed-negative"])
     def test_meaningless_certificate_input_is_config_error(self, flags, capsys):
         code = main(["verify-contraction", "--problem", "half-map",
                      "--variant", "hardy-rogers", "--c1", "0.5", *flags])
@@ -276,15 +278,16 @@ class TestVerifyContraction:
         assert runs[0] == runs[1]
         assert runs[0][0] == EXIT_OK and runs[0][1]["pairs_checked"] > 0
 
-    @pytest.mark.parametrize("lo,message", [
-        ("-inf", "error: sampling box [-inf, 1.0] yields non-finite points"),
-        ("-Infinity", "error: sampling box [-inf, 1.0] yields non-finite points"),
-        # NaN fails the lo < hi test first
-        ("-nan", "error: empty sampling box [nan, 1.0]"),
-    ])
-    def test_negative_nonfinite_box_bound_is_a_value(self, capsys, lo, message):
+    @pytest.mark.parametrize("box,message", [
+        (("-inf", "1"), "error: sampling box [-inf, 1.0] yields non-finite points"),
+        (("-Infinity", "1"), "error: sampling box [-inf, 1.0] yields non-finite points"),
+        # a NaN bound is not an empty box: the finiteness test runs before lo < hi
+        (("-nan", "1"), "error: sampling box [nan, 1.0] yields non-finite points"),
+        (("-1", "-nan"), "error: sampling box [-1.0, nan] yields non-finite points"),
+    ], ids=["lo-inf", "lo-Infinity", "lo-nan", "hi-nan"])
+    def test_negative_nonfinite_box_bound_is_a_value(self, capsys, box, message):
         code = main(["verify-contraction", "--problem", "half-map", "--variant",
-                     "hardy-rogers", "--c1", "0.5", "--box", lo, "1"])
+                     "hardy-rogers", "--c1", "0.5", "--box", *box])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.strip() == message
 
@@ -378,3 +381,20 @@ def test_list_commands(capsys):
 
 def test_no_command_is_config_error():
     assert main([]) == EXIT_CONFIG
+
+
+_WRITERS = {
+    "run": ["run", "--problem", "half-map", "--trace"],
+    "verify-contraction": ["verify-contraction", "--problem", "half-map",
+                           "--variant", "hardy-rogers", "--c1", "0.6", "--report"],
+    "verify-cclass": ["verify-cclass", "--triple", "example-2.5-monotone", "--report"],
+    "sweep": ["sweep", "--problem", "half-map", "--c-values", "0.5", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+@pytest.mark.parametrize("path", ["missing/dir/out.txt", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_path_is_config_error(command, path, capsys):
+    assert main([*_WRITERS[command], path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

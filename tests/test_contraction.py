@@ -49,10 +49,6 @@ class TestCoefficients:
         with pytest.raises(InvalidInput):
             Coefficients(c1=0.5, c2=0.4999, sum_mode=SumMode.EXACTLY_ONE)
 
-    def test_implied_c(self):
-        assert Coefficients(delta=1.0, c1=0.5).implied_c == 0.5
-        assert Coefficients(delta=0.0, c1=0.5).implied_c == 1.0
-
 
 class TestHrSides:
     def test_half_map_arithmetic(self):

@@ -7,10 +7,9 @@ from enrichedfp.problems import (
     builtin_problems,
     get_problem,
     oracle_fixed_point_1d,
-    probe_starts,
     random_affine,
 )
-from enrichedfp.space import Mapping, Point, distance
+from enrichedfp.space import Mapping, Point, check_commuting, distance
 
 EXPECTED_NAMES = {
     "half-map",
@@ -86,7 +85,10 @@ def test_jungck_linear_common_fixed_point():
     assert p.oracle_fixed_point == Point.of(0.0)
     assert p.is_pair
     pair = p.pair()
-    pair.validate_sampled([Point.of(-2.0), Point.of(5.0)])
+    samples = [Point.of(-2.0), Point.of(5.0)]
+    assert check_commuting(pair.f, pair.s, samples) is None
+    for u in samples:
+        assert pair.s_inverse(pair.s.apply(u.as_array())).tolist() == list(u.coords)
 
 
 def test_pair_accessor_rejects_single_problems():
@@ -148,13 +150,3 @@ class TestBisectionOracle:
     def test_requires_one_dimension(self):
         with pytest.raises(InvalidInput):
             oracle_fixed_point_1d(Mapping.identity(2), 0.0, 1.0)
-
-
-def test_probe_starts_spread_in_box():
-    p = get_problem("affine-contraction-10d")
-    starts = probe_starts(p, n=5)
-    assert len(starts) == 5
-    assert len({s.coords for s in starts}) == 5
-    lo, hi = p.box
-    for s in starts:
-        assert all(lo <= x <= hi for x in s.coords)

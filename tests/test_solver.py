@@ -20,11 +20,8 @@ from enrichedfp.solver import (
     run_jungck_schaefer,
     run_picard,
     run_schaefer,
-    uniqueness_probe,
-    verdict_common_fixed_point,
-    verdict_fixed_point,
 )
-from enrichedfp.space import Mapping, NormKind, Point, array_norm
+from enrichedfp.space import Mapping, NormKind, Point, array_norm, check_commuting, distance
 
 
 def _half():
@@ -136,7 +133,7 @@ class TestSchaefer:
     def test_c1_trace_equals_picard_exactly(self):
         fp = run_picard(_half(), _cfg(Scheme.PICARD, (3.0,)))
         fs = run_schaefer(_half(), _cfg(Scheme.SCHAEFER, (3.0,), c=1.0))
-        assert fs.iterates == fp.iterates
+        assert fs.xs.tobytes() == fp.xs.tobytes()
         assert fs.residuals == fp.residuals
         assert fs.status is fp.status
 
@@ -155,8 +152,8 @@ class TestSchaefer:
 
     def test_seed_point_is_iterate_zero_without_residual(self):
         trace = run_schaefer(_half(), _cfg(Scheme.SCHAEFER, (8.0,), c=0.5))
-        assert trace.iterates[0] == Point.of(8.0)
-        assert len(trace.iterates) == len(trace.residuals) + 1
+        assert trace.xs[0].tolist() == [8.0]
+        assert len(trace.xs) == len(trace.residuals) + 1
 
     def test_converged_implies_final_residual_below_tol(self):
         cfg = _cfg(Scheme.SCHAEFER, (5.0,), c=0.3, tol=1e-8)
@@ -165,16 +162,75 @@ class TestSchaefer:
         assert trace.final_residual <= 1e-8
 
 
+def _step(f, u, c):
+    """One averaged step from ``u``: xs[1] = (1 - c) u + c f(u), residuals[0] = ||xs[1] - u||."""
+    return run_schaefer(f, SolverConfig(Scheme.SCHAEFER, u, c=c, max_iter=1))
+
+
+class TestAveragedStep:
+    """One step of the averaged scheme, the map T_c(u) = (1 - c) u + c f(u)."""
+
+    def test_reflection_half(self):
+        trace = _step(Mapping.from_scalar(lambda x: 1.0 - x), Point.of(0.0), 0.5)
+        assert trace.xs[1].tolist() == [0.5]
+        assert trace.residuals == (0.5,)
+
+    def test_c1_collapses_to_base(self):
+        f = Mapping.from_scalar(lambda x: math.cos(x) + 2.0)
+        for x in (-1.3, 0.0, 2.7):
+            assert _step(f, Point.of(x), 1.0).xs[1].tolist() == list(f(Point.of(x)).coords)
+
+    def test_identity_base(self):
+        trace = _step(Mapping.identity(1), Point.of(7.0), 0.37)
+        assert trace.xs[1].tolist() == [7.0]
+        assert trace.residuals == (0.0,)
+
+    @given(
+        x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        c=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_point_sets_coincide(self, x, c):
+        # T_c(u) - u = c (f(u) - u): either both vanish or neither does
+        f = Mapping.from_scalar(lambda t: 0.5 * t + 1.0)
+        u = Point.of(x)
+        fu = f(u).coords[0]
+        trace = _step(f, u, c)
+        assert trace.xs[1, 0] == (fu if c == 1.0 else (1.0 - c) * x + c * fu)
+        assert trace.residuals[0] == pytest.approx(c * distance(f(u), u), rel=1e-9, abs=1e-12)
+
+    def test_fixed_point_of_base_stays_fixed(self):
+        f = Mapping.from_scalar(lambda t: 1.0 - t)
+        star = Point.of(0.5)
+        assert f(star) == star
+        for c in (0.1, 0.5, 1.0):
+            trace = _step(f, star, c)
+            assert trace.xs[1].tolist() == [0.5]
+            assert trace.status is Status.CONVERGED
+
+    def test_affine_in_c(self):
+        # c -> T_c(u) parametrizes the segment from u toward f(u)
+        f = Mapping.from_scalar(lambda x: 1.0 - x)
+        u = Point.of(-2.0)
+        fu = f(u).coords[0]
+
+        def step(c):
+            return _step(f, u, c).xs[1, 0]
+        for c in (0.25, 0.5, 0.75, 1.0):
+            assert step(c) == pytest.approx((1 - c) * u.coords[0] + c * fu, rel=1e-15)
+        assert step(0.5) == pytest.approx(0.5 * (step(0.2) + step(0.8)), rel=1e-15)
+
+
 class TestJungck:
     def test_scaling_pair_contracts_to_common_fixed_point(self):
         p = get_problem("jungck-linear").pair()
         trace = run_jungck_schaefer(p, _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5))
         assert trace.status is Status.CONVERGED
         # w = 0.5 * 2u + 0.5 * u/2 = 1.25 u, so u_next = 0.625 u
-        assert trace.iterates[1] == Point.of(0.625)
+        assert trace.xs[1].tolist() == [0.625]
         assert abs(trace.limit().coords[0]) < 1e-9
         # residuals follow ||S u_{n+1} - S u_n||
-        su = [2.0 * it.coords[0] for it in trace.iterates]
+        su = (2.0 * trace.xs[:, 0]).tolist()
         expect = [abs(b - a) for a, b in zip(su, su[1:])]
         assert list(trace.residuals) == pytest.approx(expect, rel=1e-12)
 
@@ -183,7 +239,7 @@ class TestJungck:
         pair = PairProblem(f, Mapping.identity(1))
         tj = run_jungck_schaefer(pair, _cfg(Scheme.JUNGCK_SCHAEFER, (3.0,), c=0.5))
         ts = run_schaefer(f, _cfg(Scheme.SCHAEFER, (3.0,), c=0.5))
-        assert tj.iterates == ts.iterates
+        assert tj.xs.tobytes() == ts.xs.tobytes()
         assert tj.residuals == ts.residuals
 
     def test_identity_pair_converges_at_seed(self):
@@ -229,73 +285,53 @@ class TestJungck:
             PairProblem(Mapping.identity(2), Mapping.affine([[1.0, 1.0], [1.0, 1.0 + 1e-15]],
                                                             [0.0, 0.0]))
 
-    def test_validate_sampled(self):
+    def test_pair_commutes_and_inverts_on_samples(self):
         p = get_problem("jungck-linear").pair()
-        p.validate_sampled([Point.of(-3.0), Point.of(0.0), Point.of(11.0)])
+        samples = [Point.of(-3.0), Point.of(0.0), Point.of(11.0)]
+        assert check_commuting(p.f, p.s, samples) is None
+        for u in samples:
+            assert p.s_inverse(p.s.apply(u.as_array())).tolist() == list(u.coords)
         bad = PairProblem(
             Mapping.from_scalar(lambda x: x + 1.0),
             Mapping.affine([[2.0]], [0.0]),
         )
-        with pytest.raises(InvalidInput):
-            bad.validate_sampled([Point.of(1.0)])
+        assert check_commuting(bad.f, bad.s, [Point.of(1.0)]) == Point.of(1.0)
 
 
-class TestVerdicts:
-    def test_fixed_point_verdicts(self):
+class TestFixedPoints:
+    def test_fixed_point_gaps(self):
         refl = _reflection()
-        assert verdict_fixed_point(refl, Point.of(0.5), tol=1e-12)
-        assert not verdict_fixed_point(refl, Point.of(0.0), tol=1e-12)
-        assert verdict_fixed_point(Mapping.identity(1), Point.of(123.0), tol=0.0)
+        assert distance(refl(Point.of(0.5)), Point.of(0.5)) <= 1e-12
+        assert not distance(refl(Point.of(0.0)), Point.of(0.0)) <= 1e-12
+        assert distance(Mapping.identity(1)(Point.of(123.0)), Point.of(123.0)) <= 0.0
 
-    def test_common_fixed_point_verdicts(self):
+    def test_common_fixed_point_gaps(self):
         p = get_problem("jungck-linear").pair()
-        assert verdict_common_fixed_point(p, Point.of(0.0), tol=1e-12)
-        assert not verdict_common_fixed_point(p, Point.of(1.0), tol=1e-12)
-        ident = Mapping.identity(1)
-        assert verdict_common_fixed_point(
-            PairProblem(ident, ident), Point.of(7.0), tol=0.0
-        )
+        for u, fixed in ((Point.of(0.0), True), (Point.of(1.0), False)):
+            assert (distance(p.f(u), u) <= 1e-12 and distance(p.s(u), u) <= 1e-12) is fixed
 
+    def test_limits_from_spread_starts_agree(self):
+        starts = (-5.0, 0.0, 7.0)
+        traces = [run_schaefer(_half(), _cfg(Scheme.SCHAEFER, (x,), c=1.0, tol=1e-10))
+                  for x in starts]
+        assert all(t.status is Status.CONVERGED for t in traces)
+        assert all(abs(t.limit().coords[0]) < 1e-9 for t in traces)
+        assert np.ptp([t.limit().coords[0] for t in traces]) <= 10 * 1e-10
 
-class TestUniquenessProbe:
-    def test_half_map_limits_agree(self):
-        cfg = _cfg(Scheme.SCHAEFER, (0.0,), c=1.0, tol=1e-10)
-        rep = uniqueness_probe(_half(), cfg, [Point.of(-5.0), Point.of(0.0), Point.of(7.0)])
-        assert rep.all_agree
-        assert len(rep.limit_points) == 3
-        assert all(abs(p.coords[0]) < 1e-9 for p in rep.limit_points)
-        assert rep.non_converged == ()
-
-    def test_identity_map_disagrees(self):
-        cfg = _cfg(Scheme.SCHAEFER, (0.0,), c=0.5, tol=1e-10)
-        rep = uniqueness_probe(Mapping.identity(1), cfg, [Point.of(0.0), Point.of(1.0)])
-        assert not rep.all_agree
-        assert len(rep.limit_points) == 2  # every start is already fixed
-
-    def test_non_converged_flagged(self):
-        doubling = Mapping.affine([[2.0]], [0.0])
-        cfg = _cfg(Scheme.SCHAEFER, (0.0,), c=1.0, tol=1e-10, max_iter=10)
-        rep = uniqueness_probe(doubling, cfg, [Point.of(0.0), Point.of(1.0)])
-        assert 1 in rep.non_converged  # start at 1 runs away
-        assert rep.statuses[0] is Status.CONVERGED  # 0 is the fixed point
-
-    def test_requires_distinct_starts(self):
-        cfg = _cfg(Scheme.SCHAEFER, (0.0,), c=0.5)
-        with pytest.raises(InvalidInput):
-            uniqueness_probe(_half(), cfg, [Point.of(1.0)])
-        with pytest.raises(InvalidInput):
-            uniqueness_probe(_half(), cfg, [Point.of(1.0), Point.of(1.0)])
+    def test_identity_map_limits_disagree(self):
+        # every start is already fixed, so the limits are the starts
+        limits = [run_schaefer(Mapping.identity(1), _cfg(Scheme.SCHAEFER, (x,), c=0.5)).limit()
+                  for x in (0.0, 1.0)]
+        assert distance(*limits) > 10 * 1e-10
 
     def test_ten_dimensional_limits_agree_with_linear_solve(self):
-        from enrichedfp.problems import get_problem, probe_starts
-        from enrichedfp.space import distance
-
         p = get_problem("affine-contraction-10d")
-        cfg = SolverConfig(Scheme.SCHAEFER, probe_starts(p)[0], c=1.0, tol=1e-10)
-        rep = uniqueness_probe(p.f, cfg, probe_starts(p, n=5))
-        assert rep.all_agree
-        for limit in rep.limit_points:
-            assert distance(limit, p.oracle_fixed_point) <= 1e-8
+        lo, hi = p.box
+        for t in np.linspace(lo, hi, 5):
+            cfg = SolverConfig(Scheme.SCHAEFER, Point.from_array(np.full(10, t)), c=1.0, tol=1e-10)
+            trace = run_schaefer(p.f, cfg)
+            assert trace.status is Status.CONVERGED
+            assert distance(trace.limit(), p.oracle_fixed_point) <= 1e-8
 
 
 class TestTraceCsv:
@@ -359,6 +395,11 @@ def _reference_iterate(scheme, f, cfg, pair=None):
             break
         x, sx = x_new, sx_new
     return tuple(iterates), tuple(residuals), status, diverged_at
+
+
+def _rows(iterates):
+    """The reference's iterates as the (n, d) array a trace stores in ``xs``."""
+    return np.array([p.coords for p in iterates])
 
 
 def _reference_csv(iterates, residuals, include_coords=True):
@@ -574,7 +615,7 @@ class TestArrayTrace:
         trace = _iterate_public(scheme, f, cfg, pair)
         if stop is not None:
             assert trace.wall_iterations == stop
-        assert trace.iterates == iterates
+        assert trace.xs.tobytes() == _rows(iterates).tobytes()
         assert trace.residuals == residuals
         assert trace.status is status
         assert trace.diverged_at == diverged_at
@@ -659,7 +700,9 @@ class TestBlockChecks:
                 assert getattr(err.value, "iteration", None) == getattr(exc, "iteration", None)
                 return
         trace = _iterate_public(scheme, f, cfg, pair)
-        assert (trace.iterates, trace.residuals, trace.status, trace.diverged_at) == want
+        iterates, *rest = want
+        assert trace.xs.tobytes() == _rows(iterates).tobytes()
+        assert [trace.residuals, trace.status, trace.diverged_at] == rest
 
     @pytest.mark.parametrize("shape", [(1,), (3, 1)])
     def test_wrong_shaped_map_result_is_not_broadcast_when_averaged(self, shape):
