@@ -60,8 +60,6 @@ from .space import (
     NormKind,
     Point,
     check_commuting,
-    distance,
-    norm,
 )
 
 __version__ = "0.1.0"

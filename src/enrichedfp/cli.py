@@ -303,10 +303,9 @@ def cmd_sweep(args) -> int:
             max_iter=args.max_iter, norm=_lookup(_NORMS, args.norm, "norm"),
         )
         trace = _solve(problem, cfg)
-        rows.append(
-            f"{_fmt(c)},{trace.wall_iterations},{trace.status.value},"
-            f"{_fmt(trace.final_residual)}"
-        )
+        r = trace.final_residual
+        rows.append(f"{_fmt(c)},{trace.wall_iterations},{trace.status.value},"
+                    f"{'none' if r is None else _fmt(r)}")
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {len(c_values)} rows to {args.out}")
     return EXIT_OK
@@ -410,8 +409,10 @@ def main(argv=None) -> int:
             run.set_defaults(**_parse_config_file(args.config))
             args = parser.parse_args(argv)
         return args.func(args)
-    # an OSError is an output path that cannot be written: a bad flag
-    except (ConfigError, InvalidConfig, InvalidInput, NoRootBracketed, OSError) as exc:
+    # an OSError is an output path that cannot be written, a MemoryError a size that
+    # cannot be allocated: both are a bad flag
+    except (ConfigError, InvalidConfig, InvalidInput, NoRootBracketed, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, InverseError) as exc:

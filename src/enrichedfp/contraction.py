@@ -449,10 +449,10 @@ def certify(
     s = variant.s_map if variant.is_jungck else None
     if s is not None:
         heads = np.concatenate([us[:64] for us, _ in blocks])[:64]
-        samples = [Point.from_array(ua) for ua in heads]
-        witness = check_commuting(f, s, samples, tol)
+        witness = check_commuting(f, s, heads, tol)
         if witness is not None:
-            raise InvalidConfig(f"companion map does not commute with f at {witness.coords}")
+            raise InvalidConfig(
+                f"companion map does not commute with f at {tuple(witness.tolist())}")
 
     triple = variant.triple if variant.is_cclass else None
     m_zero_seen = False

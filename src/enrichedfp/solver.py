@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -214,33 +214,37 @@ class PairProblem:
     """A commuting pair (f, S) together with an inverse of S.
 
     The pair scheme defines u_{n+1} only implicitly through S, so an explicit
-    inverse is required; for affine S one is synthesized by linear solve.
+    inverse, a ``Mapping`` of S's dimension, is required; for affine S one is
+    synthesized by linear solve.
     """
 
     f: Mapping
     s: Mapping
-    s_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    s_inverse: Optional[Mapping] = None
     # a synthesized inverse also gets a stacked form: one solve for a block of rows
     _inverse_rows = None
 
     def __post_init__(self):
         if self.f.dim != self.s.dim:
             raise InvalidInput(f"dimension mismatch: f {self.f.dim}, S {self.s.dim}")
-        if self.s_inverse is None:
-            if not self.s.is_affine:
+        if self.s_inverse is not None:
+            if self.s_inverse.dim != self.s.dim:
                 raise InvalidInput(
-                    "non-affine S needs an explicit s_inverse; none was supplied"
-                )
-            a, b = self.s.matrix, self.s.offset
-            # by rank, not det(a) == 0, which underflows for a well-conditioned
-            # large S and misses a nearly singular small one
-            if np.linalg.matrix_rank(a) < self.s.dim:
-                raise InvalidInput("affine S is singular; cannot synthesize inverse")
-            object.__setattr__(self, "s_inverse", lambda y: np.linalg.solve(a, y - b))
-            # (k, d, 1) right-hand sides round as k solves of one vector each, in
-            # numpy 1.x and 2.x alike; solve(a, ys.T) would not
-            object.__setattr__(self, "_inverse_rows", lambda ys: np.linalg.solve(
-                np.broadcast_to(a, (len(ys), *a.shape)), (ys - b)[:, :, None])[:, :, 0])
+                    f"dimension mismatch: S {self.s.dim}, s_inverse {self.s_inverse.dim}")
+            return
+        if not self.s.is_affine:
+            raise InvalidInput("non-affine S needs an explicit s_inverse; none was supplied")
+        a, b = self.s.matrix, self.s.offset
+        # by rank, not det(a) == 0, which underflows for a well-conditioned
+        # large S and misses a nearly singular small one
+        if np.linalg.matrix_rank(a) < self.s.dim:
+            raise InvalidInput("affine S is singular; cannot synthesize inverse")
+        object.__setattr__(self, "s_inverse", Mapping(
+            fn=lambda y: np.linalg.solve(a, y - b), dim=self.s.dim))
+        # (k, d, 1) right-hand sides round as k solves of one vector each, in
+        # numpy 1.x and 2.x alike; solve(a, ys.T) would not
+        object.__setattr__(self, "_inverse_rows", lambda ys: np.linalg.solve(
+            np.broadcast_to(a, (len(ys), *a.shape)), (ys - b)[:, :, None])[:, :, 0])
 
     @property
     def dim(self) -> int:
@@ -264,7 +268,7 @@ class PairProblem:
         for i, y in enumerate(ys):
             try:
                 if np.isfinite(y).all():
-                    p = self.s_inverse(y)
+                    p = self.s_inverse.apply(y)
                     # a non-affine S is not called on a non-finite preimage: it reproduces nothing
                     if not (self.s.is_affine or np.isfinite(p).all()) or (
                             array_norm(self.s.apply(p) - y) > tol * max(1.0, array_norm(y))):
@@ -349,10 +353,7 @@ def _iterate(
                 if pair is not None:
                     # a non-finite w is not passed on: it stands for the iterate
                     if not guard or np.isfinite(w).all():
-                        x = np.asarray(pair.s_inverse(w), dtype=float)
-                    if x.shape != w.shape:
-                        # a row store would broadcast a wrong-sized result silently
-                        raise InvalidInput(f"iterate {n} has shape {x.shape}, expected {w.shape}")
+                        x = pair.s_inverse.apply(w)
                     xs[n] = x
                 if guard and not np.isfinite(x).all():
                     end = n + 1

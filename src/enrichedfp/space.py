@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -20,11 +20,9 @@ __all__ = [
     "NormKind",
     "Point",
     "Mapping",
-    "norm",
     "array_norm",
     "row_norms",
     "block_sizes",
-    "distance",
     "check_commuting",
 ]
 
@@ -119,18 +117,6 @@ def block_sizes(first: int, dim: int) -> Iterator[int]:
         rows = min(2 * rows, cap)
 
 
-def norm(p: Point, k: NormKind = NormKind.L2) -> float:
-    """L1/L2/Linf norm of a point."""
-    return array_norm(p.as_array(), k)
-
-
-def distance(u: Point, v: Point, k: NormKind = NormKind.L2) -> float:
-    """norm(u - v); symmetric, zero iff u = v."""
-    if u.dim != v.dim:
-        raise InvalidInput(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return array_norm(u.as_array() - v.as_array(), k)
-
-
 class _WrongShape(InvalidInput):
     """A map's result does not fit its row; ``shape`` is the result's."""
 
@@ -165,48 +151,36 @@ class Mapping:
         return self.matrix is not None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on a raw array without wrapping; used by inner loops."""
-        return np.asarray(self.fn(x), dtype=float)
+        """f(x) as a float64 array: the one call of a non-affine ``fn``, and its one check.
+
+        Raises ``_WrongShape`` unless the result has shape (dim,): a (1,) result
+        would broadcast into a wider row silently.
+        """
+        y = np.asarray(self.fn(x), dtype=float)
+        # cheaper than comparing y.shape with a new tuple, on every row of a block
+        if y.ndim != 1 or len(y) != self.dim:
+            raise _WrongShape(y.shape, (self.dim,))
+        return y
 
     def apply_into(self, x: np.ndarray, out: np.ndarray) -> None:
         """Write ``apply(x)`` into ``out``, bit for bit; an affine map allocates nothing."""
         if self.is_affine:
             np.matmul(self.matrix, x, out=out)
             np.add(out, self.offset, out=out)
-            return
-        y = self.apply(x)
-        if y.shape != out.shape:
-            # a (1,) result would broadcast into a wider row silently
-            raise _WrongShape(y.shape, out.shape)
-        out[...] = y
+        else:
+            out[...] = self.apply(x)
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate on every row of an (N, dim) block; row i equals ``apply(xs[i])`` bit for bit.
 
         Affine maps take a stacked matrix-vector product, one gemv per row.
         ``xs @ matrix.T`` would be a matrix-matrix product, which rounds rows
-        differently from ``matrix @ x``.  Other maps loop over the rows.
+        differently from ``matrix @ x``.  Other maps stack ``apply`` over the rows.
         """
         if self.is_affine:
             return (self.matrix @ xs[:, :, None])[:, :, 0] + self.offset
-        out = np.empty(xs.shape)
-        for i, x in enumerate(xs):
-            out[i] = self.apply(x)
-        return out
-
-    def __call__(self, p: Point) -> Point:
-        if p.dim != self.dim:
-            raise InvalidInput(
-                f"mapping of dimension {self.dim} applied to point of dimension {p.dim}"
-            )
-        out = self.apply(p.as_array())
-        if out.shape != (self.dim,):
-            raise InvalidInput(
-                f"mapping returned shape {out.shape}, expected ({self.dim},)"
-            )
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"mapping produced non-finite output at {p.coords}", p)
-        return Point.from_array(out)
+        # fromiter fills its array row by row, with no list of row arrays to join
+        return np.fromiter((self.apply(x) for x in xs), (float, self.dim), count=len(xs))
 
     @classmethod
     def affine(
@@ -241,7 +215,7 @@ class Mapping:
     ) -> "Mapping":
         """Wrap a scalar function as a one-dimensional mapping."""
         return cls(
-            fn=lambda x: np.asarray([float(f(float(x[0])))]),
+            fn=lambda x: np.asarray([float(f(float(x.item())))]),
             dim=1,
             label=label,
         )
@@ -250,21 +224,32 @@ class Mapping:
 def check_commuting(
     f: Mapping,
     s: Mapping,
-    samples: Sequence[Point],
+    us: np.ndarray,
     tol: float = 1e-9,
     k: NormKind = NormKind.L2,
-) -> Optional[Point]:
-    """The first sample p with ||f(s(p)) - s(f(p))|| > tol * max(1, ||p||), or None.
+) -> Optional[np.ndarray]:
+    """The first row u of the (N, dim) block ``us`` with
+    ||f(S(u)) - S(f(u))|| > tol * max(1, ||u||), or None.
 
-    None means every sample commutes.  The tolerance is relative at large
-    scale, where an absolute gap means nothing.
+    None means every row commutes.  The tolerance is relative at large scale,
+    where an absolute gap means nothing.  A non-finite map value raises
+    EvaluationError at its row unless an earlier row fails; no map is called
+    on a non-finite value.
     """
     if f.dim != s.dim:
         raise InvalidInput(f"dimension mismatch: {f.dim} vs {s.dim}")
-    if not samples:
-        raise InvalidInput("commuting check needs at least one sample point")
-    for p in samples:
-        gap = distance(f(s(p)), s(f(p)), k)
-        if gap > tol * max(1.0, norm(p, k)):
-            return p
+    if us.ndim != 2 or us.shape[1] != f.dim or not len(us) or not np.isfinite(us).all():
+        raise InvalidInput(f"commuting check needs a finite (N, {f.dim}) block, N >= 1, "
+                           f"got shape {us.shape}")
+    su, fu = s.apply_batch(us), f.apply_batch(us)
+    # n is the first row with a non-finite value, or N; the outer maps see the rows before it
+    n = int(np.append(np.isfinite(np.hstack((su, fu))).all(axis=1), False).argmin())
+    fsu, sfu = f.apply_batch(su[:n]), s.apply_batch(fu[:n])
+    n = int(np.append(np.isfinite(np.hstack((fsu, sfu))).all(axis=1), False).argmin())
+    miss = row_norms(fsu[:n] - sfu[:n], k) > tol * np.maximum(1.0, row_norms(us[:n], k))
+    if miss.any():
+        return us[int(miss.argmax())]
+    if n < len(us):
+        u = us[n]
+        raise EvaluationError(f"mapping produced non-finite output at {tuple(u.tolist())}", u)
     return None

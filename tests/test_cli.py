@@ -369,6 +369,14 @@ class TestSweep:
     def test_out_of_range_c(self):
         assert main(["sweep", "--problem", "reflection", "--c-values", "1.5"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("problem, scheme, c", [
+        ("doubling", "picard", "1"), ("jungck-linear", "jungck-schaefer", "0.5")])
+    def test_run_without_a_residual_prints_none(self, problem, scheme, c):
+        # from 1e308 the run diverges at iteration 0, before its first residual
+        assert main(["sweep", "--problem", problem, "--scheme", scheme, "--c-values", c,
+                     "--start", "1e308"]) == EXIT_OK
+        assert open("sweep.csv").read().splitlines()[1] == f"{c},0,diverged,none"
+
 
 def test_list_commands(capsys):
     assert main(["list-problems"]) == EXIT_OK
@@ -381,6 +389,13 @@ def test_list_commands(capsys):
 
 def test_no_command_is_config_error():
     assert main([]) == EXIT_CONFIG
+
+
+def test_refused_allocation_is_config_error(capsys):
+    # a 99999999 x 99999999 matrix is 71 PiB: numpy refuses it at once
+    assert main(["run", "--problem", "random-affine:99999999:0.5:1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 _WRITERS = {

@@ -242,13 +242,20 @@ class TestCertify:
         assert cert.satisfied
 
         shifted = Mapping.affine([[2.0]], [1.0])  # does not commute with x/2
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match=r"with f at \(-10\.0,\)$"):
             certify(
                 ContractionVariant(Variant.JUNGCK_HARDY_ROGERS, s_map=shifted),
                 _half(),
                 Coefficients(c1=0.5),
                 PairSampler(dim=1, lo=-10, hi=10),
             )
+
+    def test_map_result_of_another_shape_is_invalid_input(self):
+        # a (1,) result would broadcast across each 3-coordinate row of the block
+        f = Mapping(fn=lambda x: np.array([0.1 * x.sum()]), dim=3)
+        with pytest.raises(InvalidInput, match=r"mapping returned shape \(1,\), expected \(3,\)"):
+            certify(ContractionVariant(Variant.HARDY_ROGERS), f, Coefficients(c1=0.5),
+                    PairSampler(dim=3, count=16))
 
     def test_scale_covariance_of_affine_outcome(self):
         co = Coefficients(c1=0.9)

@@ -10,6 +10,7 @@ say why in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import os
 import shutil
@@ -107,8 +108,25 @@ def produce(argv: str, workdir: Path) -> tuple[int, dict[str, bytes]]:
     return code, files
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_outputs(case, tmp_path):
+# the smallest block schedule: one-row first blocks, 3-row solver blocks, 7-coordinate
+# chunks and the vectorised CSV formatter for every block; the bytes must not change
+TINY_BLOCKS = {
+    ("solver", "_FIRST_BLOCK"): 1,
+    ("solver", "_BLOCK_ROWS"): 3,
+    ("space", "_CHUNK_FLOATS"): 7,
+    ("contraction", "_FIRST_CHUNK"): 1,
+    ("solver", "_KERNEL_MIN"): 1,
+}
+
+
+@pytest.mark.parametrize("case, tiny", [
+    *(pytest.param(case, False, id=case) for case in sorted(CASES)),
+    *(pytest.param(case, True, id=f"{case}-tiny-blocks") for case in sorted(CASES)),
+])
+def test_golden_outputs(case, tiny, tmp_path, monkeypatch):
+    if tiny:
+        for (module, name), value in TINY_BLOCKS.items():
+            monkeypatch.setattr(importlib.import_module(f"enrichedfp.{module}"), name, value)
     expected_exit, argv = CASES[case]
     code, files = produce(argv, tmp_path)
     assert code == expected_exit

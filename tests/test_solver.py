@@ -21,7 +21,7 @@ from enrichedfp.solver import (
     run_picard,
     run_schaefer,
 )
-from enrichedfp.space import Mapping, NormKind, Point, array_norm, check_commuting, distance
+from enrichedfp.space import Mapping, NormKind, Point, array_norm, check_commuting
 
 
 def _half():
@@ -178,7 +178,7 @@ class TestAveragedStep:
     def test_c1_collapses_to_base(self):
         f = Mapping.from_scalar(lambda x: math.cos(x) + 2.0)
         for x in (-1.3, 0.0, 2.7):
-            assert _step(f, Point.of(x), 1.0).xs[1].tolist() == list(f(Point.of(x)).coords)
+            assert _step(f, Point.of(x), 1.0).xs[1].tolist() == f.apply(np.array([x])).tolist()
 
     def test_identity_base(self):
         trace = _step(Mapping.identity(1), Point.of(7.0), 0.37)
@@ -193,16 +193,17 @@ class TestAveragedStep:
     def test_fixed_point_sets_coincide(self, x, c):
         # T_c(u) - u = c (f(u) - u): either both vanish or neither does
         f = Mapping.from_scalar(lambda t: 0.5 * t + 1.0)
-        u = Point.of(x)
-        fu = f(u).coords[0]
-        trace = _step(f, u, c)
+        u = np.array([x])
+        fu = f.apply(u)[0]
+        trace = _step(f, Point.of(x), c)
         assert trace.xs[1, 0] == (fu if c == 1.0 else (1.0 - c) * x + c * fu)
-        assert trace.residuals[0] == pytest.approx(c * distance(f(u), u), rel=1e-9, abs=1e-12)
+        assert trace.residuals[0] == pytest.approx(c * array_norm(f.apply(u) - u),
+                                                   rel=1e-9, abs=1e-12)
 
     def test_fixed_point_of_base_stays_fixed(self):
         f = Mapping.from_scalar(lambda t: 1.0 - t)
         star = Point.of(0.5)
-        assert f(star) == star
+        assert f.apply(star.as_array()).tolist() == [0.5]
         for c in (0.1, 0.5, 1.0):
             trace = _step(f, star, c)
             assert trace.xs[1].tolist() == [0.5]
@@ -212,7 +213,7 @@ class TestAveragedStep:
         # c -> T_c(u) parametrizes the segment from u toward f(u)
         f = Mapping.from_scalar(lambda x: 1.0 - x)
         u = Point.of(-2.0)
-        fu = f(u).coords[0]
+        fu = f.apply(u.as_array())[0]
 
         def step(c):
             return _step(f, u, c).xs[1, 0]
@@ -255,7 +256,7 @@ class TestJungck:
         pair = PairProblem(
             _half(),
             Mapping.affine([[2.0]], [0.0]),
-            s_inverse=lambda y: y,  # wrong inverse for S(x) = 2x
+            s_inverse=Mapping(fn=lambda y: y, dim=1),  # wrong inverse for S(x) = 2x
         )
         with pytest.raises(InverseError) as err:
             run_jungck_schaefer(pair, _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5))
@@ -267,9 +268,30 @@ class TestJungck:
             PairProblem(_half(), cubish)
         # works once the inverse is supplied explicitly: here S(x) = 2x as closure
         s = Mapping.from_scalar(lambda x: 2.0 * x)
-        pair = PairProblem(_half(), s, s_inverse=lambda y: y / 2.0)
+        pair = PairProblem(_half(), s, s_inverse=Mapping(fn=lambda y: y / 2.0, dim=1))
         trace = run_jungck_schaefer(pair, _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5))
         assert trace.status is Status.CONVERGED
+
+    def test_s_result_of_another_shape_is_invalid_input(self):
+        # S(x) = (x_0,) on R^3 would broadcast into the stored S u_0 row
+        s = Mapping(fn=lambda x: x[:1].copy(), dim=3)
+        pair = PairProblem(Mapping.affine(0.5 * np.eye(3), np.zeros(3)), s,
+                           s_inverse=Mapping(fn=lambda y: y.copy(), dim=3))
+        with pytest.raises(InvalidInput, match=r"mapping returned shape \(1,\), expected \(3,\)"):
+            run_jungck_schaefer(pair, _cfg(Scheme.JUNGCK_SCHAEFER, (1.0, 2.0, 3.0), c=0.5))
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_s_inverse_result_of_another_shape_is_invalid_input(self, c):
+        f = Mapping.affine(0.5 * np.eye(3), np.zeros(3))
+        s = Mapping.affine(2.0 * np.eye(3), np.zeros(3))
+        pair = PairProblem(f, s, s_inverse=Mapping(fn=lambda y: y[:2] / 2.0, dim=3))
+        with pytest.raises(InvalidInput, match=r"mapping returned shape \(2,\), expected \(3,\)"):
+            run_jungck_schaefer(pair, _cfg(Scheme.JUNGCK_SCHAEFER, (1.0, 2.0, 3.0), c=c))
+
+    def test_s_inverse_of_another_dimension_is_rejected(self):
+        s = Mapping.affine(2.0 * np.eye(3), np.zeros(3))
+        with pytest.raises(InvalidInput, match="dimension mismatch: S 3, s_inverse 2"):
+            PairProblem(Mapping.identity(3), s, s_inverse=Mapping.identity(2))
 
     def test_singular_s_rejected(self):
         with pytest.raises(InvalidInput):
@@ -287,28 +309,29 @@ class TestJungck:
 
     def test_pair_commutes_and_inverts_on_samples(self):
         p = get_problem("jungck-linear").pair()
-        samples = [Point.of(-3.0), Point.of(0.0), Point.of(11.0)]
+        samples = np.array([[-3.0], [0.0], [11.0]])
         assert check_commuting(p.f, p.s, samples) is None
         for u in samples:
-            assert p.s_inverse(p.s.apply(u.as_array())).tolist() == list(u.coords)
+            assert p.s_inverse.apply(p.s.apply(u)).tolist() == u.tolist()
         bad = PairProblem(
             Mapping.from_scalar(lambda x: x + 1.0),
             Mapping.affine([[2.0]], [0.0]),
         )
-        assert check_commuting(bad.f, bad.s, [Point.of(1.0)]) == Point.of(1.0)
+        assert check_commuting(bad.f, bad.s, np.array([[1.0]])).tolist() == [1.0]
 
 
 class TestFixedPoints:
     def test_fixed_point_gaps(self):
         refl = _reflection()
-        assert distance(refl(Point.of(0.5)), Point.of(0.5)) <= 1e-12
-        assert not distance(refl(Point.of(0.0)), Point.of(0.0)) <= 1e-12
-        assert distance(Mapping.identity(1)(Point.of(123.0)), Point.of(123.0)) <= 0.0
+        assert array_norm(refl.apply(np.array([0.5])) - 0.5) <= 1e-12
+        assert not array_norm(refl.apply(np.array([0.0])) - 0.0) <= 1e-12
+        assert array_norm(Mapping.identity(1).apply(np.array([123.0])) - 123.0) <= 0.0
 
     def test_common_fixed_point_gaps(self):
         p = get_problem("jungck-linear").pair()
-        for u, fixed in ((Point.of(0.0), True), (Point.of(1.0), False)):
-            assert (distance(p.f(u), u) <= 1e-12 and distance(p.s(u), u) <= 1e-12) is fixed
+        for u, fixed in ((np.array([0.0]), True), (np.array([1.0]), False)):
+            gaps = array_norm(p.f.apply(u) - u), array_norm(p.s.apply(u) - u)
+            assert (max(gaps) <= 1e-12) is fixed
 
     def test_limits_from_spread_starts_agree(self):
         starts = (-5.0, 0.0, 7.0)
@@ -322,7 +345,7 @@ class TestFixedPoints:
         # every start is already fixed, so the limits are the starts
         limits = [run_schaefer(Mapping.identity(1), _cfg(Scheme.SCHAEFER, (x,), c=0.5)).limit()
                   for x in (0.0, 1.0)]
-        assert distance(*limits) > 10 * 1e-10
+        assert array_norm(limits[0].as_array() - limits[1].as_array()) > 10 * 1e-10
 
     def test_ten_dimensional_limits_agree_with_linear_solve(self):
         p = get_problem("affine-contraction-10d")
@@ -331,7 +354,8 @@ class TestFixedPoints:
             cfg = SolverConfig(Scheme.SCHAEFER, Point.from_array(np.full(10, t)), c=1.0, tol=1e-10)
             trace = run_schaefer(p.f, cfg)
             assert trace.status is Status.CONVERGED
-            assert distance(trace.limit(), p.oracle_fixed_point) <= 1e-8
+            gap = trace.limit().as_array() - p.oracle_fixed_point.as_array()
+            assert array_norm(gap) <= 1e-8
 
 
 class TestTraceCsv:
@@ -367,13 +391,14 @@ def _reference_iterate(scheme, f, cfg, pair=None):
     status = Status.MAX_ITER_EXCEEDED
     diverged_at = None
     for n in range(1, cfg.max_iter + 1):
-        fx = f.apply(x)
+        # unchecked, so that the shape test below names the iterate
+        fx = np.asarray(f.fn(x), dtype=float)
         if pair is not None:
-            reachable = pair.s.apply(pair.s_inverse(fx))
+            reachable = pair.s.apply(pair.s_inverse.apply(fx))
             if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
                 raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
         w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
-        x_new = w if pair is None else np.asarray(pair.s_inverse(w), dtype=float)
+        x_new = w if pair is None else pair.s_inverse.apply(w)
         if x_new.shape != x.shape:
             raise InvalidInput(f"iterate {n} has shape {x_new.shape}, expected {x.shape}")
         if not np.all(np.isfinite(x_new)):
@@ -443,7 +468,7 @@ def _pair_inverse_until(limit):
     return PairProblem(
         Mapping.affine([[4.0]], [0.0]),
         Mapping.affine([[2.0]], [0.0]),
-        s_inverse=lambda y: y / 2.0 if abs(y[0]) < limit else y,
+        s_inverse=Mapping(fn=lambda y: y / 2.0 if abs(y[0]) < limit else y, dim=1),
     )
 
 
@@ -481,7 +506,7 @@ def _scripted_inverse(**events):
             if action == "raise":
                 raise ValueError(f"refused to invert {v}")
         return y / 2.0
-    return inverse
+    return Mapping(fn=inverse, dim=1)
 
 
 def _shrinking3(shape):
@@ -591,7 +616,7 @@ def _equivalence_cases():
                _cfg(Scheme.PICARD, (1.0, -2.0, 3.0)), None)
     # every map a user's function: the same trace, though none sees the overflow
     plain = PairProblem(Mapping(fn=lambda x: 4.0 * x, dim=1), Mapping(fn=lambda x: 2.0 * x, dim=1),
-                        s_inverse=lambda y: y / 2.0)
+                        s_inverse=Mapping(fn=lambda y: y / 2.0, dim=1))
     yield ("user-pair-overflow", Scheme.JUNGCK_SCHAEFER, plain.f, plain,
            _cfg(Scheme.JUNGCK_SCHAEFER, (_overflow_seed(16),), c=0.5, divergence_bound=np.inf), 15)
 
@@ -659,7 +684,7 @@ class TestBlockChecks:
         else:
             f = Mapping(fn=_recorded(lambda x: 4.0 * x, seen), dim=1)
             s = Mapping(fn=_recorded(lambda x: 2.0 * x, seen), dim=1)
-        pair = PairProblem(f, s, s_inverse=_recorded(lambda y: y / 2.0, seen))
+        pair = PairProblem(f, s, s_inverse=Mapping(fn=_recorded(lambda y: y / 2.0, seen), dim=1))
         for c in (0.5, 1.0):
             cfg = _cfg(Scheme.JUNGCK_SCHAEFER, (_overflow_seed(16),), c=c,
                        divergence_bound=np.inf)
@@ -738,7 +763,7 @@ class TestBlockChecks:
                 if bad.get(y[0]) == "raise":
                     raise ValueError("refused")
                 return y if bad.get(y[0]) == "miss" else y / 2.0
-            i, exc = _expanding_pair(inverse)._first_unreachable(ys, 1e-10)
+            i, exc = _expanding_pair(Mapping(fn=inverse, dim=1))._first_unreachable(ys, 1e-10)
             assert i == first and isinstance(exc, ValueError) == (bad[ys[first, 0]] == "raise")
 
 
