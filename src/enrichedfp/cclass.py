@@ -45,12 +45,18 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+class _Overflow(EvaluationError):
+    """A function returned an infinity at finite arguments: they are out of its range."""
+
+
 def _eval_checked(fn, x, label):
     try:
         y = float(fn(*x) if isinstance(x, tuple) else fn(x))
     except (ArithmeticError, ValueError) as exc:
         raise EvaluationError(f"{label} failed to evaluate at {x}: {exc}", x) from exc
     if not math.isfinite(y):
+        if math.isinf(y) and all(map(math.isfinite, x if isinstance(x, tuple) else (x,))):
+            raise _Overflow(f"{label} overflowed to {y} at {x}", x)
         raise EvaluationError(f"{label} returned non-finite value at {x}", x)
     return y
 

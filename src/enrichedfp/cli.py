@@ -27,6 +27,7 @@ from .cclass import (
     Grid1D,
     Grid2D,
     MonotoneState,
+    _Overflow,
     builtin_triples,
     get_triple,
     validate_altering,
@@ -207,7 +208,9 @@ def cmd_run(args) -> int:
             c = 1.0 if scheme is Scheme.PICARD else DEFAULT_C
         cfg = SolverConfig(scheme=scheme, seed_point=seed, c=c, **kw)
     trace = _solve(problem, cfg)
-    Path(args.trace).write_text(trace.to_csv(include_coords=not args.no_coords))
+    # block by block as formatted: nothing holds the whole CSV
+    with open(args.trace, "wb") as out:
+        out.writelines(trace.csv_blocks(include_coords=not args.no_coords))
     summary = _summary_text(cfg, trace)
     Path(args.summary).write_text(summary)
     sys.stdout.write(summary)
@@ -247,10 +250,16 @@ def cmd_verify_cclass(args) -> int:
     triple = get_triple(args.triple)
     grid1 = Grid1D(upper=args.grid_upper, points=args.grid_points)
     grid2 = Grid2D(upper=args.grid_upper)
-    psi_rep = validate_altering(triple.psi, grid1, args.tol)
-    phi_rep = validate_phiu(triple.phi, grid1, args.tol)
-    g_rep = validate_cclass(triple.g, grid2, args.tol)
-    mono = validate_monotone_triple(triple, grid1, args.tol)
+    try:
+        psi_rep = validate_altering(triple.psi, grid1, args.tol)
+        phi_rep = validate_phiu(triple.phi, grid1, args.tol)
+        g_rep = validate_cclass(triple.g, grid2, args.tol)
+        mono = validate_monotone_triple(triple, grid1, args.tol)
+    except _Overflow as exc:
+        # the grid, not the triple, is at fault
+        raise EvaluationError(
+            f"{exc}: --grid-upper puts the grid out of range for this function",
+            exc.offending_input) from exc
 
     expected = triple.expected
     matched = True

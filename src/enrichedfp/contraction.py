@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -314,16 +315,31 @@ class PairSampler:
             pairs.append((base, shifted))
         return pairs
 
-    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """The structured prefix, then the uniform pairs, as two (us, vs) row blocks.
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every pair in sampler order, as (us, vs) row blocks of ``block_sizes`` rows:
+        the structured prefix, then the uniform pairs.
 
-        They stay apart because joining them would copy every uniform pair.
+        The uniform us are the first count * dim draws of PCG64(seed) and the vs
+        the next count * dim, as if all us were drawn at once and then all vs.
+        A second generator starts at the vs by ``advance``, so each block is
+        drawn only when it is reached and memory does not grow with ``count``.
         """
+        sizes = block_sizes(_FIRST_CHUNK, self.dim)
         pre = self.structured()
-        rng = np.random.default_rng(self.seed)
-        us = rng.uniform(self.lo, self.hi, size=(self.count, self.dim))
-        vs = rng.uniform(self.lo, self.hi, size=(self.count, self.dim))
-        return (np.array([u for u, _ in pre]), np.array([v for _, v in pre])), (us, vs)
+        us, vs = np.array([u for u, _ in pre]), np.array([v for _, v in pre])
+        start = 0
+        while start < len(us):
+            rows = next(sizes)
+            yield us[start:start + rows], vs[start:start + rows]
+            start += rows
+        ugen = np.random.Generator(np.random.PCG64(self.seed))
+        vgen = np.random.Generator(np.random.PCG64(self.seed).advance(self.count * self.dim))
+        left = self.count
+        while left:
+            rows = min(next(sizes), left)
+            yield (ugen.uniform(self.lo, self.hi, size=(rows, self.dim)),
+                   vgen.uniform(self.lo, self.hi, size=(rows, self.dim)))
+            left -= rows
 
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Every pair in sampler order, one (u, v) per entry."""
@@ -382,17 +398,6 @@ def _json_float(x: float):
     return x if np.isfinite(x) else str(x)
 
 
-def _chunks(blocks: tuple[tuple[np.ndarray, np.ndarray], ...], dim: int):
-    """The (us, vs) row blocks cut into chunks of ``block_sizes`` rows, in pair order."""
-    sizes = block_sizes(_FIRST_CHUNK, dim)
-    for us, vs in blocks:
-        start = 0
-        while start < len(us):
-            rows = next(sizes)
-            yield us[start:start + rows], vs[start:start + rows]
-            start += rows
-
-
 def _chunk_sides(
     f: Mapping,
     s: Optional[Mapping],
@@ -445,11 +450,11 @@ def certify(
     if coeffs.sum_mode is SumMode.EXACTLY_ONE and coeffs.c2 == 0.0 and coeffs.c5 == 0.0:
         warnings.append("c2 = c5 = 0 under exactly-one mode: uniqueness bound degenerates")
 
-    blocks = sampler.blocks()
     s = variant.s_map if variant.is_jungck else None
     if s is not None:
-        heads = np.concatenate([us[:64] for us, _ in blocks])[:64]
-        witness = check_commuting(f, s, heads, tol)
+        # the u rows of the first 64 pairs, from a pass of their own over the first blocks
+        heads = itertools.islice((u for us, _ in sampler.blocks() for u in us), 64)
+        witness = check_commuting(f, s, np.array(list(heads)), tol)
         if witness is not None:
             raise InvalidConfig(
                 f"companion map does not commute with f at {tuple(witness.tolist())}")
@@ -457,7 +462,7 @@ def certify(
     triple = variant.triple if variant.is_cclass else None
     m_zero_seen = False
     checked = 0
-    for us, vs in _chunks(blocks, f.dim):
+    for us, vs in sampler.blocks():
         for i, (lhs, m) in enumerate(_chunk_sides(f, s, us, vs, coeffs, k)):
             checked += 1
             holds, lhs, rhs = _judge(triple, lhs, m, tol)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -144,17 +144,18 @@ class IterationTrace:
     def last(self) -> Point:
         return Point.from_array(self.xs[-1])
 
-    def to_csv(self, include_coords: bool = True) -> str:
-        """CSV body: iter, residual, then one column per coordinate.
+    def csv_blocks(self, include_coords: bool = True) -> Iterator[bytes]:
+        """CSV body as ASCII byte blocks: iter, residual, then one column per coordinate.
 
         Every number is ``"%.17g" % x``: 17 significant digits, '.' decimal, no
         separators; iterate 0 has an empty residual field.  Byte-stable for
-        fixed inputs.
+        fixed inputs.  The first block is the header and the seed row; each next
+        one holds a block of rows, so a writer never holds the whole CSV.
         """
         xs = self.xs if include_coords else self.xs[:, :0]
         dim = xs.shape[1]
-        parts = ["iter,residual" + "".join(f",x{i}" for i in range(dim)) + "\n",
-                 "0," + "".join(f",{_fmt(v)}" for v in xs[0].tolist()) + "\n"]
+        yield ("iter,residual" + "".join(f",x{i}" for i in range(dim)) + "\n0,"
+               + "".join(f",{_fmt(v)}" for v in xs[0].tolist()) + "\n").encode("ascii")
         # rows 1.. as a float matrix [iter, residual, coords...]: "%.17g" of an
         # integer below 2**53 is its "%d"
         residuals = np.array(self.residuals)
@@ -166,9 +167,12 @@ class IterationTrace:
             block[:, 0] = np.arange(a, b)
             block[:, 1] = residuals[a - 1:b - 1]
             block[:, 2:] = xs[a:b]
-            parts.append(_csv_rows(block))
+            yield _csv_rows(block)
             a = b
-        return "".join(parts)
+
+    def to_csv(self, include_coords: bool = True) -> str:
+        """The whole CSV body as one string: the join of ``csv_blocks``."""
+        return b"".join(self.csv_blocks(include_coords)).decode("ascii")
 
 
 def _fmt(x: float) -> str:
@@ -179,17 +183,17 @@ def _fmt(x: float) -> str:
 _KERNEL_MIN = 512
 
 
-def _csv_rows(block: np.ndarray) -> str:
-    """One CSV line per row of ``block``, each number as ``"%.17g" % x``."""
+def _csv_rows(block: np.ndarray) -> bytes:
+    """One ASCII CSV line per row of ``block``, each number as ``"%.17g" % x``."""
     if block.size < _KERNEL_MIN:
-        return "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist())
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist()).encode("ascii")
     # imported on first use: importing enrichedfp neither compiles it nor builds its table
     from ._fmt17 import SLOTS, fmt_array
 
     chars = fmt_array(block.ravel()).reshape(*block.shape, SLOTS)
     chars[:, :, -1] = ord(",")
     chars[:, -1, -1] = ord("\n")
-    return chars.tobytes().translate(None, b"\0").decode("ascii")
+    return chars.tobytes().translate(None, b"\0")
 
 
 def run_picard(f: Mapping, cfg: SolverConfig) -> IterationTrace:

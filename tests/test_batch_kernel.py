@@ -7,13 +7,16 @@ certificate's JSON must equal the reference's for all four variants,
 including first violations on either side of a block edge.
 """
 
+import itertools
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enrichedfp import contraction
 from enrichedfp.cclass import get_triple
 from enrichedfp.contraction import (
     Coefficients,
@@ -25,7 +28,15 @@ from enrichedfp.contraction import (
     certify,
 )
 from enrichedfp.errors import EvaluationError, InvalidConfig, InvalidInput
-from enrichedfp.space import Mapping, NormKind, Point, array_norm, check_commuting, row_norms
+from enrichedfp.space import (
+    Mapping,
+    NormKind,
+    Point,
+    array_norm,
+    block_sizes,
+    check_commuting,
+    row_norms,
+)
 
 entries = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 any_floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -154,6 +165,33 @@ def test_pairs_are_the_structured_prefix_then_the_uniform_pairs():
         assert np.array_equal(u, eu) and np.array_equal(v, ev)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    count=st.integers(min_value=0, max_value=300),
+    dim=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**64),
+    cuts=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=6),
+)
+def test_lazy_blocks_equal_the_one_shot_draw(count, dim, seed, cuts):
+    # whatever the block cut points, the blocks hold the structured prefix and
+    # then every u drawn at once and every v after them, bit for bit
+    sampler = PairSampler(dim=dim, lo=-3.0, hi=5.0, count=count, seed=seed)
+    with mock.patch.object(contraction, "block_sizes", lambda first, d: itertools.cycle(cuts)):
+        blocks = list(sampler.blocks())
+    pre = sampler.structured()
+    rng = np.random.default_rng(seed)
+    us = np.concatenate(([u for u, _ in pre], rng.uniform(-3.0, 5.0, size=(count, dim))))
+    vs = np.concatenate(([v for _, v in pre], rng.uniform(-3.0, 5.0, size=(count, dim))))
+    sizes, cut = [], itertools.cycle(cuts)
+    for left in (len(pre), count):
+        while left:
+            sizes.append(min(next(cut), left))
+            left -= sizes[-1]
+    assert [len(u) for u, _ in blocks] == [len(v) for _, v in blocks] == sizes
+    assert np.array_equal(np.concatenate([u for u, _ in blocks]), us)
+    assert np.array_equal(np.concatenate([v for _, v in blocks]), vs)
+
+
 @pytest.mark.parametrize("box", [(0.0, 1.7976931348623157e308), (1e308, 1.7e308)])
 def test_sampler_rejects_box_with_non_finite_points(box):
     # the near-coincident shift past hi, or the midpoint, would overflow
@@ -205,7 +243,8 @@ def test_certificate_equals_pair_by_pair_reference(f, tag, cs, delta, count, see
 class PlantedSampler(PairSampler):
     """Pairs (x, x), which hold, except pair ``bad`` (1-based), which has u != v.
 
-    The first ``split`` pairs form the first block, the rest the second.
+    The first ``split`` pairs and the rest are each cut into blocks on the
+    sampler's schedule, so blocks end at ``split`` and at the schedule's edges.
     """
 
     bad: int = 1
@@ -216,7 +255,12 @@ class PlantedSampler(PairSampler):
         us = rng.uniform(self.lo, self.hi, size=(self.count, self.dim))
         vs = us.copy()
         vs[self.bad - 1] += 1.0
-        return (us[:self.split], vs[:self.split]), (us[self.split:], vs[self.split:])
+        sizes = block_sizes(contraction._FIRST_CHUNK, self.dim)
+        for start, stop in ((0, self.split), (self.split, self.count)):
+            while start < stop:
+                end = min(start + next(sizes), stop)
+                yield us[start:end], vs[start:end]
+                start = end
 
 
 def _expanding(dim, seed):

@@ -10,6 +10,7 @@ from enrichedfp.cclass import (
     Grid2D,
     MonotoneState,
     PhiU,
+    _Overflow,
     builtin_triples,
     get_triple,
     validate_altering,
@@ -114,6 +115,21 @@ def test_nonfinite_evaluation_raises_with_input():
     with pytest.raises(EvaluationError) as err:
         validate_altering(bad)
     assert err.value.offending_input is not None
+
+
+@pytest.mark.parametrize("fn,t,message", [
+    (lambda t: t * t, 1e200, "sq overflowed to inf at 1e+200"),
+    (lambda t: -t * t, 1e200, "sq overflowed to -inf at 1e+200"),
+    (lambda t: t * t, math.inf, "sq returned non-finite value at inf"),
+    (lambda t: math.nan, 1.0, "sq returned non-finite value at 1.0"),
+])
+def test_overflow_at_a_finite_argument_is_told_apart(fn, t, message):
+    # only an infinity from finite arguments is an overflow; a NaN keeps its message
+    with pytest.raises(EvaluationError) as err:
+        AlteringDistance(fn, "sq")(t)
+    assert str(err.value) == message
+    assert isinstance(err.value, _Overflow) == ("overflowed" in message)
+    assert err.value.offending_input == t
 
 
 def _h26(x: float) -> float:

@@ -1,8 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import enrichedfp
 from enrichedfp.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -10,6 +18,9 @@ from enrichedfp.cli import (
     EXIT_VIOLATED,
     main,
 )
+from enrichedfp.problems import get_problem
+from enrichedfp.solver import Scheme, SolverConfig, run_schaefer
+from enrichedfp.space import Point
 
 
 @pytest.fixture(autouse=True)
@@ -143,6 +154,28 @@ class TestRun:
         main(args)
         second = open("trace.csv", "rb").read(), open("summary.txt", "rb").read()
         assert first == second
+
+    @pytest.mark.parametrize("coords", [True, False], ids=["coords", "no-coords"])
+    def test_trace_csv_is_streamed_to_disk(self, coords):
+        problem, dim = "random-affine:100:0.999:1", 100
+        cfg = SolverConfig(Scheme.SCHAEFER, Point.from_array(np.zeros(dim)), c=0.001,
+                           max_iter=2000)
+        # the reference also builds the formatter's one-time table before tracing
+        expected = run_schaefer(get_problem(problem).f, cfg).to_csv(coords).encode()
+        argv = ["run", "--problem", problem, "--c", "0.001", "--max-iter", "2000"]
+        tracemalloc.start()
+        try:
+            code = main(argv + ([] if coords else ["--no-coords"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_NOT_CONVERGED
+        data = Path("trace.csv").read_bytes()
+        assert data == expected
+        if coords:
+            # written block by block: the run never holds the whole 4.2 MB CSV
+            size = len(data)
+            assert peak < size
 
 
 class TestConfigFile:
@@ -330,6 +363,15 @@ class TestVerifyCClass:
         args = ["verify-cclass", "--triple", "identity-triple", "--grid-upper", upper]
         assert main(args) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("upper,at", [("1e200", "1e+197"), ("1e160", "1e+157")])
+    def test_grid_overflow_is_blamed_on_the_grid(self, upper, at, capsys):
+        # psi(t) = t**2 above 1 overflows on this grid: the triple is fine
+        args = ["verify-cclass", "--triple", "example-2.5-monotone", "--grid-upper", upper]
+        assert main(args) == EXIT_VIOLATED
+        assert capsys.readouterr().err == (
+            f"error: sqrt-below-1-square-above overflowed to inf at {at}: "
+            "--grid-upper puts the grid out of range for this function\n")
+
     @pytest.mark.parametrize("tol,code", [
         ("nan", EXIT_CONFIG), ("inf", EXIT_CONFIG), ("-1", EXIT_CONFIG), ("0", EXIT_OK),
     ])
@@ -396,6 +438,25 @@ def test_refused_allocation_is_config_error(capsys):
     assert main(["run", "--problem", "random-affine:99999999:0.5:1"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+def _limit_address_space():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+def test_certificate_memory_does_not_grow_with_the_pair_count(tmp_path):
+    # drawn up front, 1e8 uniform pairs would take 1.6 GB; drawn as reached, the
+    # violation at pair 1 ends the scan within a 1 GiB address space.  Never run
+    # this command without the limit
+    argv = [sys.executable, "-m", "enrichedfp", "verify-contraction", "--problem", "half-map",
+            "--variant", "hardy-rogers", "--c1", "0.4", "--pairs", "100000000"]
+    src = str(Path(enrichedfp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, preexec_fn=_limit_address_space,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_VIOLATED, proc.stderr
+    assert '"pairs_checked": 1,' in (tmp_path / "certificate.json").read_text()
 
 
 _WRITERS = {

@@ -250,6 +250,16 @@ class TestCertify:
                 PairSampler(dim=1, lo=-10, hi=10),
             )
 
+    def test_commuting_is_checked_past_the_structured_pairs(self):
+        # S commutes with x/2 at the integers, where every structured u of [-10, 10]
+        # lies, and nowhere else: the first uniform pair is the witness
+        s = Mapping(fn=lambda x: 2.0 * x + (x != np.round(x)), dim=1)
+        u = np.random.default_rng(0).uniform(-10, 10)
+        with pytest.raises(InvalidConfig) as err:
+            certify(ContractionVariant(Variant.JUNGCK_HARDY_ROGERS, s_map=s), _half(),
+                    Coefficients(c1=0.5), PairSampler(dim=1, lo=-10, hi=10))
+        assert str(err.value).endswith(f"with f at {(u,)}")
+
     def test_map_result_of_another_shape_is_invalid_input(self):
         # a (1,) result would broadcast across each 3-coordinate row of the block
         f = Mapping(fn=lambda x: np.array([0.1 * x.sum()]), dim=3)
