@@ -23,7 +23,6 @@ from .contraction import (
     ContractionCertificate,
     ContractionVariant,
     PairSampler,
-    SumMode,
     Variant,
     certify,
     hr_sides,

@@ -36,12 +36,10 @@ from .cclass import (
     validate_phiu,
 )
 from .contraction import (
-    _EXPECTED_MODE,
     DEFAULT_TOL as CERT_TOL,
     Coefficients,
     ContractionVariant,
     PairSampler,
-    SumMode,
     Variant,
     certify,
 )
@@ -85,7 +83,6 @@ _STATUS_EXIT = {
 _NORMS = {k.value: k for k in NormKind}
 _SCHEMES = {s.value: s for s in Scheme}
 _VARIANTS = {v.value: v for v in Variant}
-_SUM_MODES = {m.value: m for m in SumMode}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,13 +220,8 @@ def cmd_verify_contraction(args) -> int:
     triple = get_triple(args.triple) if args.triple else None
     # the variant rejects a missing triple (C-class) or a missing S (Jungck)
     variant = ContractionVariant(tag, triple=triple, s_map=problem.s)
-    sum_mode = _EXPECTED_MODE[tag]
-    if args.sum_mode is not None:
-        sum_mode = _lookup(_SUM_MODES, args.sum_mode, "sum mode")
     coeffs = Coefficients(
-        delta=args.delta, c1=args.c1, c2=args.c2, c3=args.c3, c4=args.c4, c5=args.c5,
-        sum_mode=sum_mode,
-    )
+        delta=args.delta, c1=args.c1, c2=args.c2, c3=args.c3, c4=args.c4, c5=args.c5)
     lo, hi = (args.box if args.box else problem.box)
     sampler = PairSampler(
         dim=problem.f.dim, lo=lo, hi=hi, count=args.pairs, seed=args.seed
@@ -369,7 +361,6 @@ def _build_parser() -> tuple[_Parser, _Parser]:
     vc.add_argument("--delta", type=float, default=Coefficients.delta)
     for i in range(1, 6):
         vc.add_argument(f"--c{i}", type=float, default=getattr(Coefficients, f"c{i}"))
-    vc.add_argument("--sum-mode", help="strictly-less-one | exactly-one (default: variant's mode)")
     vc.add_argument("--triple", help="triple registry name (C-class variants)")
     vc.add_argument("--box", type=float, nargs=2, metavar=("LO", "HI"),
                     help="sampling box (default: the problem's box)")

@@ -38,7 +38,6 @@ from .errors import InvalidConfig, InvalidInput
 from .space import Mapping, NormKind, Point, block_sizes, check_commuting, row_norms
 
 __all__ = [
-    "SumMode",
     "Coefficients",
     "Variant",
     "ContractionVariant",
@@ -58,14 +57,9 @@ _FIRST_CHUNK = 64
 _NEAR = 1e-8
 
 
-class SumMode(enum.Enum):
-    STRICTLY_LESS_ONE = "strictly-less-one"
-    EXACTLY_ONE = "exactly-one"
-
-
 @dataclass(frozen=True)
 class Coefficients:
-    """delta plus the five weights, with the admissible-sum regime made explicit."""
+    """delta plus the five weights; the variant decides what they may sum to."""
 
     delta: float = 0.0
     c1: float = 0.0
@@ -73,7 +67,6 @@ class Coefficients:
     c3: float = 0.0
     c4: float = 0.0
     c5: float = 0.0
-    sum_mode: SumMode = SumMode.STRICTLY_LESS_ONE
 
     def __post_init__(self):
         cs = (self.c1, self.c2, self.c3, self.c4, self.c5)
@@ -82,11 +75,6 @@ class Coefficients:
             raise InvalidInput("delta and all weights must be finite")
         if self.delta < 0 or any(c < 0 for c in cs):
             raise InvalidInput("delta and all weights must be non-negative")
-        total = sum(cs)
-        if self.sum_mode is SumMode.STRICTLY_LESS_ONE and not total < 1.0:
-            raise InvalidInput(f"weights must sum below 1, got {total}")
-        if self.sum_mode is SumMode.EXACTLY_ONE and abs(total - 1.0) > EXACTLY_ONE_SLACK:
-            raise InvalidInput(f"weights must sum to 1, got {total}")
 
 
 class Variant(enum.Enum):
@@ -98,13 +86,6 @@ class Variant(enum.Enum):
 
 _CCLASS_TAGS = {Variant.CCLASS_HARDY_ROGERS, Variant.CCLASS_JUNGCK_HARDY_ROGERS}
 _JUNGCK_TAGS = {Variant.JUNGCK_HARDY_ROGERS, Variant.CCLASS_JUNGCK_HARDY_ROGERS}
-
-_EXPECTED_MODE = {
-    Variant.HARDY_ROGERS: SumMode.STRICTLY_LESS_ONE,
-    Variant.JUNGCK_HARDY_ROGERS: SumMode.STRICTLY_LESS_ONE,
-    Variant.CCLASS_HARDY_ROGERS: SumMode.EXACTLY_ONE,
-    Variant.CCLASS_JUNGCK_HARDY_ROGERS: SumMode.EXACTLY_ONE,
-}
 
 
 @functools.cache
@@ -372,7 +353,9 @@ class ContractionCertificate:
                 "c3": self.coeffs.c3,
                 "c4": self.coeffs.c4,
                 "c5": self.coeffs.c5,
-                "sum_mode": self.coeffs.sum_mode.value,
+                # the weight-sum rule certify applied, which the variant decides
+                "sum_mode": "exactly-one" if self.variant in _CCLASS_TAGS
+                else "strictly-less-one",
             },
             "norm": self.norm.value,
             "seed": self.seed,
@@ -435,19 +418,18 @@ def certify(
     # a NaN, negative or infinite tolerance decides every pair the same way
     if not 0.0 <= tol < np.inf:
         raise InvalidInput(f"tol must be finite and non-negative, got {tol}")
-    expected_mode = _EXPECTED_MODE[variant.tag]
-    if coeffs.sum_mode is not expected_mode:
-        raise InvalidConfig(
-            f"{variant.tag.value} expects sum mode {expected_mode.value}, "
-            f"got {coeffs.sum_mode.value}"
-        )
+    total = sum((coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5))
+    if variant.is_cclass and abs(total - 1.0) > EXACTLY_ONE_SLACK:
+        raise InvalidInput(f"weights must sum to 1, got {total}")
+    if not variant.is_cclass and not total < 1.0:
+        raise InvalidInput(f"weights must sum below 1, got {total}")
     if sampler.dim != f.dim:
         raise InvalidInput(f"sampler dimension {sampler.dim} != map dimension {f.dim}")
 
     warnings = []
     if variant.is_cclass and coeffs.c3 != coeffs.c4:
         warnings.append("c3 != c4: outside the regime the convergence analysis assumes")
-    if coeffs.sum_mode is SumMode.EXACTLY_ONE and coeffs.c2 == 0.0 and coeffs.c5 == 0.0:
+    if variant.is_cclass and coeffs.c2 == 0.0 and coeffs.c5 == 0.0:
         warnings.append("c2 = c5 = 0 under exactly-one mode: uniqueness bound degenerates")
 
     s = variant.s_map if variant.is_jungck else None

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contraction import Coefficients, ContractionVariant, SumMode, Variant
+from .contraction import Coefficients, ContractionVariant, Variant
 from .errors import ConfigError, InvalidInput, NoRootBracketed
 from .solver import PairProblem
 from .space import Mapping, Point
@@ -61,12 +61,12 @@ def _kannan_branchy(x: float) -> float:
 
 def builtin_problems() -> list[ProblemInstance]:
     """The fixed, named problem registry."""
-    half = Mapping.affine([[0.5]], [0.0], label="half-map")
-    reflection = Mapping.affine([[-1.0]], [1.0], label="reflection")
-    kannan = Mapping.from_scalar(_kannan_branchy, label="kannan-style")
-    jungck_f = Mapping.affine([[0.5]], [0.0], label="half-map")
-    jungck_s = Mapping.affine([[2.0]], [0.0], label="doubling")
-    doubling = Mapping.affine([[2.0]], [0.0], label="doubling")
+    half = Mapping.affine([[0.5]], [0.0])
+    reflection = Mapping.affine([[-1.0]], [1.0])
+    kannan = Mapping.from_scalar(_kannan_branchy)
+    jungck_f = Mapping.affine([[0.5]], [0.0])
+    jungck_s = Mapping.affine([[2.0]], [0.0])
+    doubling = Mapping.affine([[2.0]], [0.0])
     affine10 = replace(random_affine(10, 0.9, seed=7), name="affine-contraction-10d")
 
     return [
@@ -164,14 +164,14 @@ def random_affine(dim: int, spectral_cap: float, seed: int) -> ProblemInstance:
     residual = float(np.linalg.norm(a @ x_star + b - x_star))
     assert residual <= 1e-9, f"linear-solve oracle residual {residual:g}"
     oracle = Point.from_array(x_star)
-    f = Mapping.affine(a, b, label=f"random-affine-{dim}d")
+    f = Mapping.affine(a, b)
     return ProblemInstance(
         name=f"random-affine:{dim}:{spectral_cap:g}:{seed}",
         f=f,
         box=(-10.0, 10.0),
         certified_as=(
             ContractionVariant(Variant.HARDY_ROGERS),
-            Coefficients(delta=0.0, c1=spectral_cap, sum_mode=SumMode.STRICTLY_LESS_ONE),
+            Coefficients(delta=0.0, c1=spectral_cap),
         ),
         oracle_fixed_point=oracle,
     )

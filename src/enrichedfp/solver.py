@@ -4,7 +4,7 @@ Three schemes: direct successive approximation (Picard), the averaged scheme
 u_n = (1-c) u_{n-1} + c f(u_{n-1}), whose map has the fixed points of f for
 every c in (0, 1] and so also serves maps Picard cannot handle, and the pair
 scheme S u_{n+1} = (1-c) S u_n + c f(u_n) which needs an explicit inverse of S
-to advance (for affine S the inverse is synthesized by linear solve).
+to advance (for affine S the inverse is the affine map of inv(A), built once).
 
 Residuals are ||u_{n+1} - u_n|| in the configured norm; the pair scheme
 instead tracks ||S u_{n+1} - S u_n||, the sequence its convergence argument
@@ -218,15 +218,13 @@ class PairProblem:
     """A commuting pair (f, S) together with an inverse of S.
 
     The pair scheme defines u_{n+1} only implicitly through S, so an explicit
-    inverse, a ``Mapping`` of S's dimension, is required; for affine S one is
-    synthesized by linear solve.
+    inverse, a ``Mapping`` of S's dimension, is required; for affine S x = A x + b
+    it is built once as the affine map y -> inv(A) y - inv(A) b.
     """
 
     f: Mapping
     s: Mapping
     s_inverse: Optional[Mapping] = None
-    # a synthesized inverse also gets a stacked form: one solve for a block of rows
-    _inverse_rows = None
 
     def __post_init__(self):
         if self.f.dim != self.s.dim:
@@ -243,12 +241,8 @@ class PairProblem:
         # large S and misses a nearly singular small one
         if np.linalg.matrix_rank(a) < self.s.dim:
             raise InvalidInput("affine S is singular; cannot synthesize inverse")
-        object.__setattr__(self, "s_inverse", Mapping(
-            fn=lambda y: np.linalg.solve(a, y - b), dim=self.s.dim))
-        # (k, d, 1) right-hand sides round as k solves of one vector each, in
-        # numpy 1.x and 2.x alike; solve(a, ys.T) would not
-        object.__setattr__(self, "_inverse_rows", lambda ys: np.linalg.solve(
-            np.broadcast_to(a, (len(ys), *a.shape)), (ys - b)[:, :, None])[:, :, 0])
+        inv = np.linalg.inv(a)
+        object.__setattr__(self, "s_inverse", Mapping.affine(inv, -(inv @ b)))
 
     @property
     def dim(self) -> int:
@@ -257,18 +251,15 @@ class PairProblem:
     def _first_unreachable(self, ys: np.ndarray, tol: float) -> tuple[int, Optional[Exception]]:
         """(i, error) for the first row y of ``ys`` that S(S^{-1}(y)) misses by more than
         tol * max(1, ||y||), or that raises; (len(ys), None) if none does.  A non-finite
-        row passes, as in that comparison, and reaches no map.  A stacked call that
-        raises is redone row by row, so that the first failure in row order decides.
+        row passes, as in that comparison, and reaches no map.  With S and S^{-1} both
+        affine the block is checked at once, which cannot raise; otherwise row by row.
         """
-        if self._inverse_rows is not None:
-            try:
-                miss = np.isfinite(ys).all(axis=1)  # the finite rows are checked
-                y = ys[miss]
-                reach = self.s.apply_batch(self._inverse_rows(y))
-                miss[miss] = row_norms(reach - y) > tol * np.maximum(1.0, row_norms(y))
-                return int(np.append(miss, True).argmax()), None
-            except Exception:
-                pass
+        if self.s.is_affine and self.s_inverse.is_affine:
+            miss = np.isfinite(ys).all(axis=1)  # the finite rows are checked
+            y = ys[miss]
+            reach = self.s.apply_batch(self.s_inverse.apply_batch(y))
+            miss[miss] = row_norms(reach - y) > tol * np.maximum(1.0, row_norms(y))
+            return int(np.append(miss, True).argmax()), None
         for i, y in enumerate(ys):
             try:
                 if np.isfinite(y).all():
@@ -308,7 +299,7 @@ def _iterate(
     the tol and divergence-bound stops.  The first in step order ends the run, as
     checks after every step would; an error raised in a step waits for them.  The
     map is pure, so steps computed past the end, fewer than a block, are dropped.
-    Only affine maps and a synthesized inverse ever see a non-finite value.
+    Only affine maps ever see a non-finite value.
     """
     if cfg.scheme is not scheme:
         raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected {scheme.value}")
@@ -320,7 +311,7 @@ def _iterate(
     x = cfg.seed_point.as_array()
     sx = x if pair is None else pair.s.apply(x)
     # steps that call a user's function check that they pass it finite values
-    guard = not (f.is_affine and (pair is None or pair._inverse_rows is not None))
+    guard = not (f.is_affine and (pair is None or pair.s.is_affine and pair.s_inverse.is_affine))
     # row n holds iterate n; grown by doubling up to max_iter + 1 rows, so a huge
     # max_iter costs nothing up front and a run that uses its budget keeps no spare rows
     xs = np.empty((min(cfg.max_iter, 1023) + 1, f.dim))
@@ -353,12 +344,13 @@ def _iterate(
                     np.multiply(sx, 1.0 - c, out=w)
                     np.multiply(fx, c, out=t)
                     np.add(w, t, out=w)
-                x = w
+                x = w if pair is None else xs[n]
                 if pair is not None:
                     # a non-finite w is not passed on: it stands for the iterate
-                    if not guard or np.isfinite(w).all():
-                        x = pair.s_inverse.apply(w)
-                    xs[n] = x
+                    if guard and not np.isfinite(w).all():
+                        x[...] = w
+                    else:
+                        pair.s_inverse.apply_into(w, x)
                 if guard and not np.isfinite(x).all():
                     end = n + 1
                     break

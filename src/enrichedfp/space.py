@@ -138,7 +138,6 @@ class Mapping:
     dim: int
     matrix: Optional[np.ndarray] = None
     offset: Optional[np.ndarray] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.dim < 1:
@@ -183,42 +182,23 @@ class Mapping:
         return np.fromiter((self.apply(x) for x in xs), (float, self.dim), count=len(xs))
 
     @classmethod
-    def affine(
-        cls,
-        matrix: np.ndarray,
-        offset: np.ndarray,
-        label: str = "",
-    ) -> "Mapping":
+    def affine(cls, matrix: np.ndarray, offset: np.ndarray) -> "Mapping":
         a = np.array(matrix, dtype=float)
         b = np.array(offset, dtype=float).ravel()
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
             raise InvalidInput(f"bad affine shapes: {a.shape}, {b.shape}")
         a.setflags(write=False)
         b.setflags(write=False)
-        return cls(
-            fn=lambda x: a @ x + b,
-            dim=b.shape[0],
-            matrix=a,
-            offset=b,
-            label=label,
-        )
+        return cls(fn=lambda x: a @ x + b, dim=b.shape[0], matrix=a, offset=b)
 
     @classmethod
-    def identity(cls, dim: int, label: str = "identity") -> "Mapping":
-        return cls.affine(np.eye(dim), np.zeros(dim), label=label)
+    def identity(cls, dim: int) -> "Mapping":
+        return cls.affine(np.eye(dim), np.zeros(dim))
 
     @classmethod
-    def from_scalar(
-        cls,
-        f: Callable[[float], float],
-        label: str = "",
-    ) -> "Mapping":
+    def from_scalar(cls, f: Callable[[float], float]) -> "Mapping":
         """Wrap a scalar function as a one-dimensional mapping."""
-        return cls(
-            fn=lambda x: np.asarray([float(f(float(x.item())))]),
-            dim=1,
-            label=label,
-        )
+        return cls(fn=lambda x: np.asarray([float(f(float(x.item())))]), dim=1)
 
 
 def check_commuting(

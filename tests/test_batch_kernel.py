@@ -23,7 +23,6 @@ from enrichedfp.contraction import (
     ContractionCertificate,
     ContractionVariant,
     PairSampler,
-    SumMode,
     Variant,
     certify,
 )
@@ -62,7 +61,7 @@ def reference_certify(variant, f, coeffs, sampler, k, tol=1e-9):
     warnings = []
     if variant.is_cclass and coeffs.c3 != coeffs.c4:
         warnings.append("c3 != c4: outside the regime the convergence analysis assumes")
-    if coeffs.sum_mode is SumMode.EXACTLY_ONE and coeffs.c2 == 0.0 and coeffs.c5 == 0.0:
+    if variant.is_cclass and coeffs.c2 == 0.0 and coeffs.c5 == 0.0:
         warnings.append("c2 = c5 = 0 under exactly-one mode: uniqueness bound degenerates")
     pair_list = sampler.pairs()
     s = variant.s_map if variant.is_jungck else None
@@ -213,13 +212,22 @@ def _variant(tag, f):
 def _coeffs(tag, cs, delta):
     if tag in (Variant.CCLASS_HARDY_ROGERS, Variant.CCLASS_JUNGCK_HARDY_ROGERS):
         return Coefficients(delta=delta, c1=1.0 - cs[1] - 2 * cs[2] - cs[3], c2=cs[1], c3=cs[2],
-                            c4=cs[2], c5=cs[3], sum_mode=SumMode.EXACTLY_ONE)
+                            c4=cs[2], c5=cs[3])
     return Coefficients(delta=delta, c1=cs[0], c2=cs[1], c3=cs[2], c4=cs[3], c5=cs[4])
 
 
 def _same_certificate(variant, f, coeffs, sampler, k, tol=1e-9):
+    try:
+        want = reference_certify(variant, f, coeffs, sampler, k, tol).to_json()
+    except InvalidConfig as exc:
+        # S does not commute with f on the sampled points (at tol = 0, a subnormal
+        # rounding suffices): certify must refuse with the same witness
+        with pytest.raises(InvalidConfig) as err:
+            certify(variant, f, coeffs, sampler, k, tol)
+        assert str(err.value) == str(exc)
+        return None
     cert = certify(variant, f, coeffs, sampler, k, tol)
-    assert cert.to_json() == reference_certify(variant, f, coeffs, sampler, k, tol).to_json()
+    assert cert.to_json() == want
     return cert
 
 
@@ -358,29 +366,6 @@ def test_apply_into_refuses_a_result_of_another_shape(shape):
     with pytest.raises(InvalidInput, match=r"mapping returned shape"):
         Mapping(fn=lambda x: np.ones(shape), dim=3).apply_into(np.zeros(3), out)
     assert not out.any()
-
-
-def _hilbert(d):
-    i = np.arange(d)
-    return 1.0 / (i[:, None] + i[None, :] + 1.0)
-
-
-@pytest.mark.parametrize("d", [1, 3, 10, 50])
-@pytest.mark.parametrize("conditioning", ["random", "ill"])
-def test_stacked_inverse_equals_per_row_inverse(d, conditioning):
-    from enrichedfp.solver import PairProblem
-
-    rng = np.random.default_rng(d)
-    # the Hilbert matrix of order 10 has a condition number near 1.6e13
-    a = _hilbert(min(d, 10)) if conditioning == "ill" else rng.normal(size=(d, d))
-    if conditioning == "ill" and d > 10:
-        a = np.eye(d)
-        a[:10, :10] = _hilbert(10)
-    pair = PairProblem(Mapping.identity(d), Mapping.affine(a, rng.normal(size=d)))
-    ys = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-5, 5, size=(40, 1))
-    stacked = pair._inverse_rows(ys)
-    for y, got in zip(ys, stacked):
-        assert _same_bits(got, pair.s_inverse.apply(y))
 
 
 @settings(max_examples=150, deadline=None)

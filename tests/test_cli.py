@@ -272,11 +272,30 @@ class TestVerifyContraction:
         assert code == EXIT_VIOLATED
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_sum_mode_mismatch(self):
+    def test_sum_mode_mismatch(self, capsys):
+        # the variant decides the weight-sum rule: there is no flag to set it
         code = main(["verify-contraction", "--problem", "half-map",
                      "--variant", "hardy-rogers", "--c1", "1.0",
                      "--sum-mode", "exactly-one"])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --sum-mode exactly-one\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--variant", "hardy-rogers", "--c1", "0.6", "--c2", "0.4"],
+         "weights must sum below 1, got 1.0"),
+        (["--variant", "jungck-hardy-rogers", "--c1", "1"], "weights must sum below 1, got 1.0"),
+        (["--variant", "cclass-hardy-rogers", "--c1", "0.5", "--triple", "identity-triple"],
+         "weights must sum to 1, got 0.5"),
+        # two bad values: the box is checked before the weights
+        (["--variant", "hardy-rogers", "--c1", "1", "--box", "1", "1"],
+         "empty sampling box [1.0, 1.0]"),
+    ], ids=["plain", "jungck", "cclass", "box-first"])
+    def test_weight_sum_the_variant_refuses(self, flags, message, capsys):
+        problem = "jungck-linear" if "jungck-hardy-rogers" in flags else "half-map"
+        code = main(["verify-contraction", "--problem", problem, *flags])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_report_byte_identical(self):
         args = ["verify-contraction", "--problem", "doubling",

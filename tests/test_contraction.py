@@ -9,7 +9,6 @@ from enrichedfp.contraction import (
     Coefficients,
     ContractionVariant,
     PairSampler,
-    SumMode,
     Variant,
     certify,
     hr_sides,
@@ -21,11 +20,11 @@ from enrichedfp.space import Mapping, Point
 
 
 def _half():
-    return Mapping.affine([[0.5]], [0.0], label="half-map")
+    return Mapping.affine([[0.5]], [0.0])
 
 
 def _doubling():
-    return Mapping.affine([[2.0]], [0.0], label="doubling")
+    return Mapping.affine([[2.0]], [0.0])
 
 
 def _scaling(factor):
@@ -39,15 +38,29 @@ class TestCoefficients:
         with pytest.raises(InvalidInput):
             Coefficients(c3=-1e-9)
 
+    # the variant decides the weight-sum rule, and certify applies it
     def test_strict_mode_sum_bound(self):
-        with pytest.raises(InvalidInput):
-            Coefficients(c1=0.5, c2=0.5)
-        Coefficients(c1=0.5, c2=0.49)  # fine
+        plain = ContractionVariant(Variant.HARDY_ROGERS)
+        with pytest.raises(InvalidInput, match=r"^weights must sum below 1, got 1\.0$"):
+            certify(plain, _half(), Coefficients(c1=0.5, c2=0.5), PairSampler(dim=1, count=8))
+        certify(plain, _half(), Coefficients(c1=0.5, c2=0.49), PairSampler(dim=1, count=8))
 
     def test_exactly_one_mode(self):
-        Coefficients(c1=0.5, c2=0.5, sum_mode=SumMode.EXACTLY_ONE)
-        with pytest.raises(InvalidInput):
-            Coefficients(c1=0.5, c2=0.4999, sum_mode=SumMode.EXACTLY_ONE)
+        cclass = ContractionVariant(Variant.CCLASS_HARDY_ROGERS, triple=get_triple("identity-triple"))
+        certify(cclass, _half(), Coefficients(c1=0.5, c2=0.5), PairSampler(dim=1, count=8))
+        with pytest.raises(InvalidInput, match=r"^weights must sum to 1, got 0\.9999$"):
+            certify(cclass, _half(), Coefficients(c1=0.5, c2=0.4999), PairSampler(dim=1, count=8))
+
+    @pytest.mark.parametrize("tag", list(Variant))
+    def test_weights_are_checked_before_any_pair_is_drawn(self, tag):
+        class Unsampled(PairSampler):
+            def blocks(self):
+                raise AssertionError("a pair was drawn before the weights were checked")
+        variant = ContractionVariant(tag, triple=get_triple("identity-triple"), s_map=_doubling())
+        # each sum is the one the other kind of variant needs
+        coeffs = Coefficients(c1=0.5) if variant.is_cclass else Coefficients(c1=0.5, c5=0.5)
+        with pytest.raises(InvalidInput, match="^weights must sum"):
+            certify(variant, _half(), coeffs, Unsampled(dim=1))
 
 
 class TestHrSides:
@@ -107,7 +120,7 @@ class TestCClassPair:
         variant = ContractionVariant(
             Variant.CCLASS_HARDY_ROGERS, triple=get_triple("example-2.5-monotone")
         )
-        co = Coefficients(c1=1.0, sum_mode=SumMode.EXACTLY_ONE)
+        co = Coefficients(c1=1.0)
         holds, lhs_psi, rhs_g = pair_holds(variant, _half(), Point.of(1.0), Point.of(0.0), co)
         assert not holds
         assert lhs_psi == pytest.approx(math.sqrt(0.5), rel=1e-15)
@@ -118,7 +131,7 @@ class TestCClassPair:
         variant = ContractionVariant(
             Variant.CCLASS_HARDY_ROGERS, triple=get_triple("identity-triple")
         )
-        co = Coefficients(c2=0.5, c5=0.5, sum_mode=SumMode.EXACTLY_ONE)
+        co = Coefficients(c2=0.5, c5=0.5)
         star = Point.of(0.0)  # fixed point of the half map
         holds, lhs_psi, rhs_g = pair_holds(variant, _half(), star, star, co)
         assert holds
@@ -129,7 +142,7 @@ class TestCClassPair:
         variant = ContractionVariant(
             Variant.CCLASS_HARDY_ROGERS, triple=get_triple("identity-triple")
         )
-        co = Coefficients(c1=1.0, sum_mode=SumMode.EXACTLY_ONE)
+        co = Coefficients(c1=1.0)
         u, v = Point.of(3.0), Point.of(1.0)
         holds, lhs_psi, rhs_g = pair_holds(variant, _half(), u, v, co)
         lhs, m = hr_sides(_half(), u, v, co)
@@ -142,7 +155,7 @@ class TestCClassPair:
         # psi(lhs) <= G(psi(M), phi(M)) <= psi(M): the check is at least as strong
         triple = get_triple("example-2.5-monotone")
         variant = ContractionVariant(Variant.CCLASS_HARDY_ROGERS, triple=triple)
-        co = Coefficients(c1=0.2, c2=0.2, c3=0.2, c4=0.2, c5=0.2, sum_mode=SumMode.EXACTLY_ONE)
+        co = Coefficients(c1=0.2, c2=0.2, c3=0.2, c4=0.2, c5=0.2)
         rng = np.random.default_rng(5)
         seen_holds = 0
         for _ in range(400):
@@ -223,11 +236,12 @@ class TestCertify:
         json.loads(a.to_json())  # well-formed
 
     def test_mode_variant_mismatch(self):
-        with pytest.raises(InvalidConfig):
+        # weights that sum to 1, as a C-class variant needs, are refused by a plain one
+        with pytest.raises(InvalidInput, match=r"^weights must sum below 1, got 1\.0$"):
             certify(
                 ContractionVariant(Variant.HARDY_ROGERS),
                 _half(),
-                Coefficients(c1=1.0, sum_mode=SumMode.EXACTLY_ONE),
+                Coefficients(c1=1.0),
                 PairSampler(dim=1),
             )
 
@@ -301,7 +315,7 @@ class TestCertify:
                 Variant.CCLASS_HARDY_ROGERS, triple=get_triple("identity-triple")
             ),
             _half(),
-            Coefficients(c1=0.2, c2=0.3, c3=0.1, c4=0.2, c5=0.2, sum_mode=SumMode.EXACTLY_ONE),
+            Coefficients(c1=0.2, c2=0.3, c3=0.1, c4=0.2, c5=0.2),
             PairSampler(dim=1, lo=-1, hi=1, count=8),
         )
         assert any("c3 != c4" in w for w in cert.warnings)
@@ -312,7 +326,7 @@ class TestCertify:
                 Variant.CCLASS_HARDY_ROGERS, triple=get_triple("identity-triple")
             ),
             _half(),
-            Coefficients(c1=0.5, c3=0.25, c4=0.25, sum_mode=SumMode.EXACTLY_ONE),
+            Coefficients(c1=0.5, c3=0.25, c4=0.25),
             PairSampler(dim=1, lo=-1, hi=1, count=8),
         )
         assert any("c2 = c5 = 0" in w for w in cert.warnings)
@@ -324,7 +338,7 @@ class TestCertify:
                 Variant.CCLASS_HARDY_ROGERS, triple=get_triple("identity-triple")
             ),
             Mapping.identity(1),
-            Coefficients(c2=0.5, c5=0.5, sum_mode=SumMode.EXACTLY_ONE),
+            Coefficients(c2=0.5, c5=0.5),
             PairSampler(dim=1, lo=-1, hi=1, count=8),
         )
         assert any("M = 0" in w for w in cert.warnings)

@@ -320,6 +320,51 @@ class TestJungck:
         assert check_commuting(bad.f, bad.s, np.array([[1.0]])).tolist() == [1.0]
 
 
+def _commuting_pair(dim, seed, cap=0.5):
+    """(pair, x*): f(x) = A x + b and S(x) = M x + m for a seeded B of Frobenius norm ``cap``.
+
+    A = B/2 + B^2/4 and M = 2I + B are polynomials in B, so they commute; x* solves
+    (I - A) x = b, and m = x* - M x* makes f(S(x)) = S(f(x)) and S(x*) = x*.  The
+    pair step contracts by (1 - c) I + c M^{-1} A = (1 - c) I + c B / 4.
+    """
+    rng = np.random.default_rng(seed)
+    b_mat = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    b_mat *= cap / np.linalg.norm(b_mat, "fro")
+    m_mat = 2.0 * np.eye(dim) + b_mat
+    a = 0.5 * b_mat + 0.25 * (b_mat @ b_mat)
+    b = rng.uniform(-1.0, 1.0, size=dim)
+    x_star = np.linalg.solve(np.eye(dim) - a, b)
+    return PairProblem(Mapping.affine(a, b), Mapping.affine(m_mat, x_star - m_mat @ x_star)), x_star
+
+
+class TestCommutingPairInHigherDimensions:
+    """The pair scheme at d > 1, on the seeded commuting family: S^{-1} is built once."""
+
+    @pytest.mark.parametrize("k", list(NormKind))
+    @pytest.mark.parametrize("dim", [10, 100])
+    def test_converges_to_the_common_fixed_point(self, dim, k):
+        pair, x_star = _commuting_pair(dim, seed=dim)
+        us = np.random.default_rng(1).uniform(-10.0, 10.0, size=(64, dim))
+        assert check_commuting(pair.f, pair.s, us, k=k) is None
+        cfg = _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,) * dim, c=0.5, tol=1e-12, norm=k)
+        trace = run_jungck_schaefer(pair, cfg)
+        assert trace.status is Status.CONVERGED
+        assert array_norm(trace.xs[-1] - x_star, k) <= 1e-10
+        # the same bits as a step-by-step loop that applies S^{-1} to one row at a time
+        iterates, residuals, status, _ = _reference_iterate(Scheme.JUNGCK_SCHAEFER, pair.f,
+                                                            cfg, pair)
+        assert trace.xs.tobytes() == _rows(iterates).tobytes()
+        assert (trace.residuals, trace.status) == (residuals, status)
+
+    def test_inverse_is_one_affine_map(self):
+        pair, x_star = _commuting_pair(10, seed=3)
+        inv = pair.s_inverse
+        assert inv.is_affine
+        assert np.array_equal(inv.matrix, np.linalg.inv(pair.s.matrix))
+        assert np.array_equal(inv.offset, -(inv.matrix @ pair.s.offset))
+        assert array_norm(inv.apply(x_star) - x_star) <= 1e-12
+
+
 class TestFixedPoints:
     def test_fixed_point_gaps(self):
         refl = _reflection()
@@ -673,8 +718,8 @@ def _recorded(fn, seen):
 
 
 class TestBlockChecks:
-    """The per-block checks: no user function sees a non-finite value, and a stacked
-    range check that raises is redone row by row."""
+    """The per-block checks: no user function sees a non-finite value, and the first
+    row that fails the range check decides, in one block or row by row."""
 
     @pytest.mark.parametrize("affine_maps", [False, True])
     def test_no_user_function_sees_a_non_finite_value(self, affine_maps):
@@ -736,28 +781,22 @@ class TestBlockChecks:
         # at c = 0.5 the iterate shrinks by 3/4 a step: max |u_28| = 3 (3/4)^28 < 2^-10
         assert str(err.value) == f"iterate 29 has shape {shape}, expected (3,)"
 
-    def test_stacked_range_check_that_raises_is_redone_row_by_row(self):
-        pair = get_problem("jungck-linear").pair()
-        cfg = _cfg(Scheme.JUNGCK_SCHAEFER, (1e4,), c=0.01, max_iter=300)
-        expected = run_jungck_schaefer(pair, cfg)
-
-        def refuse(ys):
-            raise ValueError("stacked solve refused")
-        object.__setattr__(pair, "_inverse_rows", refuse)
-        trace = run_jungck_schaefer(pair, cfg)
-        assert np.array_equal(trace.xs, expected.xs)
-        assert trace.residuals == expected.residuals
-
     def test_first_unreachable_row_decides(self):
-        ys = np.array([[1.0], [2.0], [np.inf], [3.0], [np.nan], [5.0], [6.0]])
-        pair = _expanding_pair()
-        assert pair._first_unreachable(ys, 1e-10) == (len(ys), None)
-        assert pair._first_unreachable(ys[:0], 1e-10) == (0, None)
-        # a stacked inverse that misses rows 3 and 5: the first decides
-        object.__setattr__(pair, "_inverse_rows",
-                           lambda y: np.where((y == 3.0) | (y == 5.0), y, y / 2.0))
-        assert pair._first_unreachable(ys, 1e-10) == (3, None)
+        ys = np.array([[1.0, 0.0], [2.0, 0.0], [np.inf, 1.0], [3.0, 1.0], [np.nan, 1.0],
+                       [5.0, 1.0], [6.0, 0.0]])
+        s = Mapping.affine(2.0 * np.eye(2), np.zeros(2))
+        exact = PairProblem(Mapping.identity(2), s)
+        assert exact._first_unreachable(ys, 1e-10) == (len(ys), None)
+        assert exact._first_unreachable(ys[:0], 1e-10) == (0, None)
+        # an affine inverse that misses every row with y_1 != 0, in one block: the
+        # non-finite rows pass, and the first finite miss decides
+        skewed = PairProblem(Mapping.identity(2), s,
+                             s_inverse=Mapping.affine([[0.5, 0.0], [0.0, 0.6]], np.zeros(2)))
+        assert skewed._first_unreachable(ys, 1e-10) == (3, None)
+        assert skewed._first_unreachable(ys[:2], 1e-10) == (2, None)
+        assert skewed._first_unreachable(ys[4:], 1e-10) == (1, None)
         # row by row, an error and a miss: the first decides
+        ys = ys[:, :1]
         for bad, first in (({3.0: "miss", 6.0: "raise"}, 3), ({1.0: "raise", 5.0: "miss"}, 0)):
             def inverse(y, bad=bad):
                 if bad.get(y[0]) == "raise":
