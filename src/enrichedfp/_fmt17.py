@@ -104,11 +104,11 @@ def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, 16 - p + carry, ok
 
 
-def fmt_array(x: np.ndarray) -> np.ndarray:
+def fmt_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``"%.17g" % v`` for each v in the 1-D float64 ``x``, in ASCII slots.
 
-    Row i of the (len(x), SLOTS) uint8 result holds the characters of the
-    formatted x[i] in order and 0 in its other slots.
+    Row i of the (len(x), SLOTS) uint8 result, ``out`` if given, holds the
+    characters of the formatted x[i] in order and 0 in its other slots.
     """
     ax = np.abs(x)
     neg = np.signbit(x)
@@ -127,7 +127,8 @@ def fmt_array(x: np.ndarray) -> np.ndarray:
     # significant digits: up to the last nonzero one
     nd = 17 - (digits[::-1] != 0).argmax(axis=0)
     code[fast] = _layout(exp10, nd[fast], neg[fast])
-    out = _LAYOUTS.take(code, axis=0)
+    # every code is in range: "clip" only spares take a buffered copy into out
+    out = _LAYOUTS.take(code, axis=0, out=out, mode="clip")
     out[:, 6:40:2] |= digits.T
     # every formatted value has its first digit in slot 6; the rest are "%.17g" one by one
     slow = np.flatnonzero(out[:, 6] == 0)

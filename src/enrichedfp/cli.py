@@ -53,14 +53,13 @@ from .errors import (
 )
 from .problems import ProblemInstance, builtin_problems, get_problem
 from .solver import (
-    IterationTrace,
     Scheme,
     SolverConfig,
     Status,
+    _CsvWriter,
     _fmt,
-    run_jungck_schaefer,
-    run_picard,
-    run_schaefer,
+    _iterate,
+    _Run,
 )
 from .space import NormKind, Point
 
@@ -154,34 +153,28 @@ def _lookup(table: dict, value: str, what: str):
     return table[value]
 
 
-def _summary_text(cfg: SolverConfig, trace) -> str:
-    limit = trace.limit()
+def _summary_text(cfg: SolverConfig, status: Status, iterations: int, last, residual) -> str:
     lines = [
-        f"status = {trace.status.value}",
-        f"iterations = {trace.wall_iterations}",
-        "limit = " + (",".join(_fmt(x) for x in limit.coords) if limit else "none"),
-        "residual = "
-        + (_fmt(trace.final_residual) if trace.final_residual is not None else "none"),
+        f"status = {status.value}",
+        f"iterations = {iterations}",
+        "limit = " + (",".join(map(_fmt, last.tolist())) if status is Status.CONVERGED
+                      else "none"),
+        "residual = " + (_fmt(residual) if residual is not None else "none"),
         f"scheme = {cfg.scheme.value}",
         f"c = {_fmt(cfg.c)}",
         "delta = " + (_fmt(cfg.delta) if cfg.delta is not None else "none"),
-        "seed = " + ",".join(_fmt(x) for x in trace.xs[0].tolist()),
+        "seed = " + ",".join(map(_fmt, cfg.seed_point.coords)),
     ]
     return "\n".join(lines) + "\n"
 
 
-def _solve(problem: ProblemInstance, cfg: SolverConfig) -> IterationTrace:
-    """Run the configured scheme on ``problem``; the one scheme dispatch."""
-    if cfg.scheme is Scheme.JUNGCK_SCHAEFER:
-        if not problem.is_pair:
-            raise ConfigError(
-                f"problem {problem.name!r} has no companion map; "
-                "jungck-schaefer needs a pair problem"
-            )
-        return run_jungck_schaefer(problem.pair(), cfg)
-    # resolved per call, so rebinding the module-level run_* names takes effect
-    run = run_picard if cfg.scheme is Scheme.PICARD else run_schaefer
-    return run(problem.f, cfg)
+def _solve(problem: ProblemInstance, cfg: SolverConfig) -> _Run:
+    """The configured scheme's run on ``problem``, block by block; the one scheme dispatch."""
+    jungck = cfg.scheme is Scheme.JUNGCK_SCHAEFER
+    if jungck and not problem.is_pair:
+        raise ConfigError(
+            f"problem {problem.name!r} has no companion map; jungck-schaefer needs a pair problem")
+    return _Run(_iterate(cfg.scheme, problem.f, cfg, problem.pair() if jungck else None))
 
 
 def cmd_run(args) -> int:
@@ -204,14 +197,23 @@ def cmd_run(args) -> int:
         if c is None:
             c = 1.0 if scheme is Scheme.PICARD else DEFAULT_C
         cfg = SolverConfig(scheme=scheme, seed_point=seed, c=c, **kw)
-    trace = _solve(problem, cfg)
-    # block by block as formatted: nothing holds the whole CSV
-    with open(args.trace, "wb") as out:
-        out.writelines(trace.csv_blocks(include_coords=not args.no_coords))
-    summary = _summary_text(cfg, trace)
+    run = _solve(problem, cfg)
+    blocks = iter(run)
+    # the run's up-front checks raise here, before any file is written
+    csv = _CsvWriter(next(blocks)[0][0], include_coords=not args.no_coords)
+    iterations, last, residual = 0, None, None
+    with open(args.trace, "wb") as out:  # as the run goes, a block at a time
+        out.write(csv.header)
+        try:
+            for xs, r in blocks:
+                out.writelines(csv.rows(xs, r))
+                iterations, last, residual = iterations + len(r), xs[-1].copy(), r[-1]
+        finally:  # after an error, the rows before the failing step stay in the file
+            out.write(csv.flush())
+    summary = _summary_text(cfg, run.status, iterations, last, residual)
     Path(args.summary).write_text(summary)
     sys.stdout.write(summary)
-    return _STATUS_EXIT[trace.status]
+    return _STATUS_EXIT[run.status]
 
 
 def cmd_verify_contraction(args) -> int:
@@ -303,10 +305,12 @@ def cmd_sweep(args) -> int:
             scheme=scheme, seed_point=start, c=c, tol=args.tol,
             max_iter=args.max_iter, norm=_lookup(_NORMS, args.norm, "norm"),
         )
-        trace = _solve(problem, cfg)
-        r = trace.final_residual
-        rows.append(f"{_fmt(c)},{trace.wall_iterations},{trace.status.value},"
-                    f"{'none' if r is None else _fmt(r)}")
+        run, iterations, residual = _solve(problem, cfg), 0, None
+        for _, r in run:
+            if len(r):
+                iterations, residual = iterations + len(r), r[-1]
+        rows.append(f"{_fmt(c)},{iterations},{run.status.value},"
+                    f"{'none' if residual is None else _fmt(residual)}")
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {len(c_values)} rows to {args.out}")
     return EXIT_OK

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Generator, Iterator, Optional
 
 import numpy as np
 
@@ -145,30 +145,11 @@ class IterationTrace:
         return Point.from_array(self.xs[-1])
 
     def csv_blocks(self, include_coords: bool = True) -> Iterator[bytes]:
-        """CSV body as ASCII byte blocks: iter, residual, then one column per coordinate.
-
-        Every number is ``"%.17g" % x``: 17 significant digits, '.' decimal, no
-        separators; iterate 0 has an empty residual field.  Byte-stable for
-        fixed inputs.  The first block is the header and the seed row; each next
-        one holds a block of rows, so a writer never holds the whole CSV.
-        """
-        xs = self.xs if include_coords else self.xs[:, :0]
-        dim = xs.shape[1]
-        yield ("iter,residual" + "".join(f",x{i}" for i in range(dim)) + "\n0,"
-               + "".join(f",{_fmt(v)}" for v in xs[0].tolist()) + "\n").encode("ascii")
-        # rows 1.. as a float matrix [iter, residual, coords...]: "%.17g" of an
-        # integer below 2**53 is its "%d"
-        residuals = np.array(self.residuals)
-        sizes = block_sizes(_FIRST_BLOCK, dim + 2)
-        a = 1
-        while a < len(xs):
-            b = min(a + next(sizes), len(xs))
-            block = np.empty((b - a, dim + 2))
-            block[:, 0] = np.arange(a, b)
-            block[:, 1] = residuals[a - 1:b - 1]
-            block[:, 2:] = xs[a:b]
-            yield _csv_rows(block)
-            a = b
+        """CSV body as ASCII byte blocks: ``_CsvWriter`` fed the stored rows, header first."""
+        csv = _CsvWriter(self.xs[0], include_coords)
+        yield csv.header
+        yield from csv.rows(self.xs[1:], np.array(self.residuals))
+        yield csv.flush()
 
     def to_csv(self, include_coords: bool = True) -> str:
         """The whole CSV body as one string: the join of ``csv_blocks``."""
@@ -183,17 +164,53 @@ def _fmt(x: float) -> str:
 _KERNEL_MIN = 512
 
 
-def _csv_rows(block: np.ndarray) -> bytes:
-    """One ASCII CSV line per row of ``block``, each number as ``"%.17g" % x``."""
-    if block.size < _KERNEL_MIN:
-        return "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist()).encode("ascii")
-    # imported on first use: importing enrichedfp neither compiles it nor builds its table
-    from ._fmt17 import SLOTS, fmt_array
+class _CsvWriter:
+    """The trace CSV as ASCII byte blocks: iter, residual, then one column per coordinate.
 
-    chars = fmt_array(block.ravel()).reshape(*block.shape, SLOTS)
-    chars[:, :, -1] = ord(",")
-    chars[:, -1, -1] = ord("\n")
-    return chars.tobytes().translate(None, b"\0")
+    Every number is ``"%.17g" % x``: 17 significant digits, '.' decimal, no separators;
+    iterate 0 has an empty residual field.  ``header`` is the header and the seed row.
+    Rows are formatted in growing batches, however they arrive, reusing the formatter's
+    slot array, so the writer holds one batch at any length.  Byte-stable.
+    """
+
+    def __init__(self, seed: np.ndarray, include_coords: bool):
+        self._dim = len(seed) if include_coords else 0
+        self.header = ("iter,residual" + "".join(f",x{i}" for i in range(self._dim)) + "\n0,"
+                       + "".join(f",{_fmt(v)}" for v in seed[:self._dim].tolist()) + "\n").encode()
+        # batches of up to about 4096 numbers, half block_sizes' cap: the formatter holds
+        # about 180 bytes a number while it works, and smaller batches cost more a number
+        self._sizes = block_sizes(_FIRST_BLOCK, 2 * (self._dim + 2))
+        # [iter, residual, coords...] as floats: "%.17g" of an integer below 2**53 is its "%d"
+        self._batch = np.empty((next(self._sizes), self._dim + 2))
+        self._filled, self._iter, self._slots = 0, 1, np.empty((0, 0), np.uint8)
+
+    def rows(self, xs: np.ndarray, residuals: np.ndarray) -> Iterator[bytes]:
+        """Take the next rows and their residuals; yield each batch they fill."""
+        while len(xs):
+            m = min(len(xs), len(self._batch) - self._filled)
+            part = self._batch[self._filled:self._filled + m]
+            part[:, 0] = np.arange(self._iter, self._iter + m)
+            part[:, 1], part[:, 2:] = residuals[:m], xs[:m, :self._dim]
+            xs, residuals = xs[m:], residuals[m:]
+            self._filled, self._iter = self._filled + m, self._iter + m
+            if self._filled == len(self._batch):
+                yield self.flush()
+                self._batch = np.empty((next(self._sizes), self._dim + 2))
+
+    def flush(self) -> bytes:
+        """The rows taken since the last batch, formatted."""
+        block, self._filled = self._batch[:self._filled], 0
+        if block.size < _KERNEL_MIN:
+            return "".join(",".join(map(_fmt, row)) + "\n"
+                           for row in block.tolist()).encode("ascii")
+        # imported on first use: importing enrichedfp neither compiles it nor builds its table
+        from ._fmt17 import SLOTS, fmt_array
+        if len(self._slots) < block.size:
+            self._slots = np.empty((block.size, SLOTS), np.uint8)
+        chars = fmt_array(block.ravel(), self._slots[:block.size]).reshape(*block.shape, SLOTS)
+        chars[:, :, -1] = ord(",")
+        chars[:, -1, -1] = ord("\n")
+        return chars.tobytes().translate(None, b"\0")
 
 
 def run_picard(f: Mapping, cfg: SolverConfig) -> IterationTrace:
@@ -201,7 +218,7 @@ def run_picard(f: Mapping, cfg: SolverConfig) -> IterationTrace:
 
     ``cfg.c`` is ignored.
     """
-    return _iterate(Scheme.PICARD, f, cfg)
+    return _collect(Scheme.PICARD, f, cfg)
 
 
 def run_schaefer(f: Mapping, cfg: SolverConfig) -> IterationTrace:
@@ -210,7 +227,7 @@ def run_schaefer(f: Mapping, cfg: SolverConfig) -> IterationTrace:
     With c = 1 the arithmetic reduces to f exactly, so the trace coincides
     with the Picard trace coordinate for coordinate.
     """
-    return _iterate(Scheme.SCHAEFER, f, cfg)
+    return _collect(Scheme.SCHAEFER, f, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +242,8 @@ class PairProblem:
     f: Mapping
     s: Mapping
     s_inverse: Optional[Mapping] = None
+    # the pair checks' least relative tolerance: the rounding of S(S^{-1}(y))
+    inverse_tol: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.f.dim != self.s.dim:
@@ -243,6 +262,9 @@ class PairProblem:
             raise InvalidInput("affine S is singular; cannot synthesize inverse")
         inv = np.linalg.inv(a)
         object.__setattr__(self, "s_inverse", Mapping.affine(inv, -(inv @ b)))
+        # about eps * cond(A), here in the infinity norm: O(d^2), where an SVD costs O(d^3)
+        cond = np.linalg.norm(a, np.inf) * np.linalg.norm(inv, np.inf)
+        object.__setattr__(self, "inverse_tol", 1e-12 * cond)
 
     @property
     def dim(self) -> int:
@@ -282,24 +304,44 @@ def run_jungck_schaefer(p: PairProblem, cfg: SolverConfig) -> IterationTrace:
     With S = identity the arithmetic, and hence the trace, matches the
     averaged scheme exactly.
     """
-    return _iterate(Scheme.JUNGCK_SCHAEFER, p.f, cfg, p)
+    return _collect(Scheme.JUNGCK_SCHAEFER, p.f, cfg, p)
 
 
-# an overflow is divergence, and steps past a stop may overflow: no warnings
-@np.errstate(over="ignore", invalid="ignore")
+def _collect(scheme: Scheme, f: Mapping, cfg: SolverConfig,
+             pair: Optional[PairProblem] = None) -> IterationTrace:
+    """Run ``_iterate`` to its end, keeping every row: the full record."""
+    run = _Run(_iterate(scheme, f, cfg, pair))
+    blocks = [(xs.copy(), r) for xs, r in run]
+    xs = np.concatenate([xs for xs, _ in blocks])
+    xs.setflags(write=False)
+    residuals = tuple(np.concatenate([r for _, r in blocks]).tolist())
+    return IterationTrace(scheme, xs, residuals, run.status, run.diverged_at)
+
+
+@dataclass
+class _Run:
+    """An ``_iterate`` generator's blocks; at their end it sets ``status`` and ``diverged_at``."""
+
+    blocks: Generator[tuple[np.ndarray, np.ndarray], None, tuple]
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        self.status, self.diverged_at = yield from self.blocks
+
+
 def _iterate(
     scheme: Scheme, f: Mapping, cfg: SolverConfig, pair: Optional[PairProblem] = None
-) -> IterationTrace:
+) -> Generator[tuple[np.ndarray, np.ndarray], None, tuple[Status, Optional[int]]]:
     """The one stepping loop: S u_{n+1} = (1-c) S u_n + c f(u_n), S = I without a pair.
 
-    Each step only computes, in place into the stored rows.  The checks run once
-    per block of steps on those rows: a non-finite iterate (divergence; the trace
-    ends at the last finite one), with a pair the range check f(u_n) = S(S^{-1}(f(u_n))),
-    the sampled stand-in for range inclusion of f in S, and S(S^{-1}(w)) = w, then
-    the tol and divergence-bound stops.  The first in step order ends the run, as
-    checks after every step would; an error raised in a step waits for them.  The
-    map is pure, so steps computed past the end, fewer than a block, are dropped.
-    Only affine maps ever see a non-finite value.
+    Yields (rows, residuals): the seed with no residual, then each block once its checks
+    pass, as a view of one buffer the next block reuses; returns (status, diverged_at).
+    Each step only computes, in place into that buffer.  The checks: a non-finite
+    iterate (divergence; the run ends at the last finite one), with a pair the range
+    check f(u_n) = S(S^{-1}(f(u_n))), the sampled stand-in for range inclusion of f in
+    S, and S(S^{-1}(w)) = w, then the tol and divergence-bound stops.  The first in step
+    order ends the run, as checks after every step would; an error raised at step n
+    waits for them, then yields the rows before n and raises.  The map is pure, so
+    steps computed past the end are dropped.  Only affine maps see a non-finite value.
     """
     if cfg.scheme is not scheme:
         raise InvalidConfig(f"config scheme is {cfg.scheme.value}, expected {scheme.value}")
@@ -309,93 +351,86 @@ def _iterate(
         )
     c = 1.0 if scheme is Scheme.PICARD else cfg.c
     x = cfg.seed_point.as_array()
-    sx = x if pair is None else pair.s.apply(x)
+    # overflow is divergence; no warnings, and never across a yield, where the consumer runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx = x if pair is None else pair.s.apply(x)
+    yield x[None], np.empty(0)
     # steps that call a user's function check that they pass it finite values
     guard = not (f.is_affine and (pair is None or pair.s.is_affine and pair.s_inverse.is_affine))
-    # row n holds iterate n; grown by doubling up to max_iter + 1 rows, so a huge
-    # max_iter costs nothing up front and a run that uses its budget keeps no spare rows
-    xs = np.empty((min(cfg.max_iter, 1023) + 1, f.dim))
-    xs[0] = x
-    # row n holds S u_n, whose differences the residuals measure; xs itself without a pair
-    sxs = xs if pair is None else np.empty_like(xs)
-    sxs[0] = sx
+    tol = cfg.tol if pair is None else max(cfg.tol, pair.inverse_tol)
+    # row 0 carries the iterate before a block, rows 1..k hold its k steps; sxs holds S
+    # of each row, xs itself without a pair.  Blocks only grow: a longer one takes new rows
+    xs, sxs = x[None], sx[None]
     t = np.empty(f.dim)
-    residuals: list[float] = []
-    status = Status.MAX_ITER_EXCEEDED
-    diverged_at = None
     sizes = block_sizes(_FIRST_BLOCK, f.dim)
     a = 1
     while a <= cfg.max_iter:
-        b = min(a + min(next(sizes), _BLOCK_ROWS) - 1, cfg.max_iter)
-        if b >= len(xs):
-            extra = min(len(xs), cfg.max_iter + 1 - len(xs))
-            xs = np.concatenate((xs, np.empty_like(xs[:extra])))
-            sxs = xs if pair is None else np.concatenate((sxs, np.empty_like(sxs[:extra])))
-        # step n writes f(u_{n-1}) to fs and w = (1-c) S u_{n-1} + c f(u_{n-1}) to ws, row
-        # n - a; without a pair w is the iterate.  A row f did not reach stays NaN
-        fs = xs[a:b + 1] if pair is None and c == 1.0 else np.full((b + 1 - a, f.dim), np.nan)
-        ws = xs[a:b + 1] if pair is None else fs if c == 1.0 else np.empty_like(fs)
-        # steps a..end-1 are stored; an error at step end waits for their checks
-        end, held = b + 1, None
-        try:
-            for n, fx, w in zip(range(a, b + 1), fs, ws):
-                f.apply_into(x, fx)
-                if c != 1.0:
-                    np.multiply(sx, 1.0 - c, out=w)
-                    np.multiply(fx, c, out=t)
-                    np.add(w, t, out=w)
-                x = w if pair is None else xs[n]
-                if pair is not None:
-                    # a non-finite w is not passed on: it stands for the iterate
-                    if guard and not np.isfinite(w).all():
-                        x[...] = w
-                    else:
-                        pair.s_inverse.apply_into(w, x)
-                if guard and not np.isfinite(x).all():
-                    end = n + 1
-                    break
-                sx = x if pair is None else sxs[n]
-                if pair is not None:
-                    pair.s.apply_into(x, sx)
-        except Exception as exc:
-            if pair is None and isinstance(exc, _WrongShape):
-                exc = InvalidInput(f"iterate {n} has shape {exc.shape}, expected {x.shape}")
-            end, held = n, exc
-        # (step, rank, error), unique: within a step, events rank in the order it meets them
-        events = [] if held is None else [(end, 3, held)]
-        finite = np.isfinite(xs[a:end]).all(axis=1)
-        if not finite.all():
-            events.append((a + int(finite.argmin()), 4, None))
-        if pair is not None:
-            i, exc = pair._first_unreachable(fs[:end + 1 - a], cfg.tol)
-            if a + i <= min(end, b):
-                events.append((a + i, 2, exc or InverseError(
-                    f"f(u_{a + i - 1}) is not reproducible in the range of S", a + i)))
-            w = ws[:end - a]
-            miss = row_norms(sxs[a:end] - w) > cfg.tol * np.maximum(1.0, row_norms(w))
-            if miss.any():
-                n = a + int(miss.argmax())
-                events.append((n, 6, InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)))
-        r = row_norms(sxs[a:end] - sxs[a - 1:end - 1], cfg.norm)
-        stops = (r <= cfg.tol) | (row_norms(xs[a:end], cfg.norm) > cfg.divergence_bound)
-        if stops.any():
-            events.append((a + int(stops.argmax()), 7, None))
+        k = min(next(sizes), _BLOCK_ROWS, cfg.max_iter + 1 - a)
+        if k >= len(xs):
+            xs = np.concatenate((xs[:1], np.empty((k, f.dim))))
+            sxs = xs if pair is None else np.concatenate((sxs[:1], np.empty_like(xs[1:])))
+        x, sx, o = xs[0], sxs[0], a - 1  # iterate n is in row n - o
+        with np.errstate(over="ignore", invalid="ignore"):
+            # step n writes f(u_{n-1}) to fs and w = (1-c) S u_{n-1} + c f(u_{n-1}) to ws,
+            # row n - a; without a pair w is the iterate.  A row f did not reach stays NaN
+            fs = xs[1:k + 1] if pair is None and c == 1.0 else np.full((k, f.dim), np.nan)
+            ws = xs[1:k + 1] if pair is None else fs if c == 1.0 else np.empty_like(fs)
+            # steps a..end-1 are stored; an error at step end waits for their checks
+            end, held = a + k, None
+            try:
+                for n, fx, w in zip(range(a, a + k), fs, ws):
+                    f.apply_into(x, fx)
+                    if c != 1.0:
+                        np.multiply(sx, 1.0 - c, out=w)
+                        np.multiply(fx, c, out=t)
+                        np.add(w, t, out=w)
+                    x = w if pair is None else xs[n - o]
+                    if pair is not None:
+                        # a non-finite w is not passed on: it stands for the iterate
+                        if guard and not np.isfinite(w).all():
+                            x[...] = w
+                        else:
+                            pair.s_inverse.apply_into(w, x)
+                    if guard and not np.isfinite(x).all():
+                        end = n + 1
+                        break
+                    sx = x if pair is None else sxs[n - o]
+                    if pair is not None:
+                        pair.s.apply_into(x, sx)
+            except Exception as exc:
+                if pair is None and isinstance(exc, _WrongShape):
+                    exc = InvalidInput(f"iterate {n} has shape {exc.shape}, expected {x.shape}")
+                end, held = n, exc
+            # (step, rank, error), unique: within a step, events rank in the order it meets them
+            events = [] if held is None else [(end, 3, held)]
+            finite = np.isfinite(xs[1:end - o]).all(axis=1)
+            if not finite.all():
+                events.append((a + int(finite.argmin()), 4, None))
+            if pair is not None:
+                i, exc = pair._first_unreachable(fs[:end + 1 - a], tol)
+                if a + i <= min(end, a + k - 1):
+                    events.append((a + i, 2, exc or InverseError(
+                        f"f(u_{a + i - 1}) is not reproducible in the range of S", a + i)))
+                w = ws[:end - a]
+                miss = row_norms(sxs[1:end - o] - w) > tol * np.maximum(1.0, row_norms(w))
+                if miss.any():
+                    n = a + int(miss.argmax())
+                    events.append(
+                        (n, 6, InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)))
+            r = row_norms(sxs[1:end - o] - sxs[:end - a], cfg.norm)
+            stops = (r <= cfg.tol) | (row_norms(xs[1:end - o], cfg.norm) > cfg.divergence_bound)
+            if stops.any():
+                events.append((a + int(stops.argmax()), 7, None))
         if events:
             n, rank, exc = min(events)
-            residuals += r[: n - a + (rank == 7)].tolist()
+            kept = n - a + (rank == 7)
+            if kept:
+                yield xs[1:kept + 1], r[:kept]
             if exc is not None:
                 raise exc
-            status = Status.CONVERGED if rank == 7 and r[n - a] <= cfg.tol else Status.DIVERGED
-            diverged_at = None if status is Status.CONVERGED else n
-            break
-        residuals += r.tolist()
+            converged = rank == 7 and r[n - a] <= cfg.tol
+            return (Status.CONVERGED, None) if converged else (Status.DIVERGED, n)
+        yield xs[1:k + 1], r
+        xs[0], sxs[0] = xs[k], sxs[k]
         a = end
-    xs = xs[: len(residuals) + 1]
-    xs.setflags(write=False)
-    return IterationTrace(
-        scheme=scheme,
-        xs=xs,
-        residuals=tuple(residuals),
-        status=status,
-        diverged_at=diverged_at,
-    )
+    return Status.MAX_ITER_EXCEEDED, None

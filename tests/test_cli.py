@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import resource
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import enrichedfp
+import enrichedfp.cli as cli
 from enrichedfp.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -18,9 +20,11 @@ from enrichedfp.cli import (
     EXIT_VIOLATED,
     main,
 )
-from enrichedfp.problems import get_problem
+from enrichedfp.errors import EvaluationError
+from enrichedfp.problems import ProblemInstance, get_problem
 from enrichedfp.solver import Scheme, SolverConfig, run_schaefer
-from enrichedfp.space import Point
+from enrichedfp.space import Mapping, Point
+from test_golden import TINY_BLOCKS
 
 
 @pytest.fixture(autouse=True)
@@ -172,10 +176,75 @@ class TestRun:
         assert code == EXIT_NOT_CONVERGED
         data = Path("trace.csv").read_bytes()
         assert data == expected
+        # the run never holds its 2001 rows of iterates, nor the whole CSV
+        assert peak < 2001 * 100 * 8
         if coords:
-            # written block by block: the run never holds the whole 4.2 MB CSV
-            size = len(data)
-            assert peak < size
+            assert peak < len(data)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run"], id="run"),
+        pytest.param(["run", "--no-coords"], id="run-no-coords"),
+        pytest.param(["sweep", "--c-values", "0.001"], id="sweep"),
+    ])
+    def test_memory_does_not_grow_with_max_iter(self, argv):
+        # c = 0.001 on a contraction of norm 0.999 does not converge in 20000 steps.  Both
+        # lengths are past the last growth of the CSV batches, at row 4088 without coords
+        argv = argv + ["--problem", "random-affine:100:0.999:1", "--max-iter"]
+        if argv[0] == "run":
+            argv = argv[:1] + ["--c", "0.001"] + argv[1:]
+        main(argv + ["5000"])  # builds the problem and the formatter's table untraced
+
+        def peak(max_iter):
+            tracemalloc.start()
+            try:
+                assert main(argv + [str(max_iter)]) in (EXIT_OK, EXIT_NOT_CONVERGED)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20000) <= 1.1 * peak(5000)
+
+    def test_up_front_errors_come_before_the_trace_and_the_run(self, monkeypatch, capsys):
+        # a seed of the wrong dimension is refused before the trace file is opened
+        assert main(["run", "--problem", "half-map", "--start", "1,2"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: seed point dimension 2")
+        assert not Path("trace.csv").exists()
+        # and an unwritable trace path is refused before the map is evaluated once
+        calls = []
+        problem = ProblemInstance(
+            "counted", Mapping(fn=lambda x: calls.append(x) or x / 2.0, dim=1), box=(0.0, 1.0))
+        monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+        assert main(["run", "--problem", "counted", "--trace", "missing/t.csv"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: [Errno 2]") and not calls
+
+    def test_error_mid_run_keeps_the_rows_before_it(self, monkeypatch, capsys):
+        """A map that raises at step k: exit 3, no summary, and rows 0..k-1 on disk,
+        whatever the block schedule; the caller's numpy error state between blocks."""
+        k = 300
+
+        def fn(x):
+            if x[0] >= k - 1:  # u_n = n, so step k evaluates at k - 1
+                raise EvaluationError("refused", x)
+            return x + 1.0
+        problem = ProblemInstance("counter", Mapping(fn=fn, dim=1), box=(0.0, 1.0))
+        monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+        seen, rows = [], cli._CsvWriter.rows
+
+        def recorded(self, xs, residuals):
+            seen.append(np.geterr())
+            return rows(self, xs, residuals)
+        monkeypatch.setattr(cli._CsvWriter, "rows", recorded)
+        expected = "iter,residual,x0\n0,,0\n" + "".join(f"{n},1,{n}\n" for n in range(1, k))
+        caller = np.geterr()
+        for schedule in ({}, TINY_BLOCKS):
+            with monkeypatch.context() as m:
+                for (module, name), value in schedule.items():
+                    m.setattr(importlib.import_module(f"enrichedfp.{module}"), name, value)
+                assert main(["run", "--problem", "counter", "--scheme", "picard"]) == EXIT_VIOLATED
+            assert capsys.readouterr().err == "error: refused\n"
+            assert Path("trace.csv").read_text() == expected
+            assert not Path("summary.txt").exists()
+        assert len(seen) > 10 and all(state == caller for state in seen)
 
 
 class TestConfigFile:

@@ -258,6 +258,8 @@ class TestJungck:
             Mapping.affine([[2.0]], [0.0]),
             s_inverse=Mapping(fn=lambda y: y, dim=1),  # wrong inverse for S(x) = 2x
         )
+        # a supplied inverse gets no rounding allowance: the checks use tol alone
+        assert pair.inverse_tol == 0.0
         with pytest.raises(InverseError) as err:
             run_jungck_schaefer(pair, _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,), c=0.5))
         assert err.value.iteration == 1
@@ -356,6 +358,20 @@ class TestCommutingPairInHigherDimensions:
         assert trace.xs.tobytes() == _rows(iterates).tobytes()
         assert (trace.residuals, trace.status) == (residuals, status)
 
+    def test_pair_checks_allow_the_rounding_of_the_inverse(self):
+        # S(S^{-1}(y)) reproduces y to about 1e-16 relative at d = 200, far above
+        # tol = 1e-300: the checks take 1e-12 * cond(M) instead, and the run goes on
+        pair, _ = _commuting_pair(200, seed=7)
+        m = pair.s.matrix
+        cond = np.linalg.norm(m, np.inf) * np.linalg.norm(np.linalg.inv(m), np.inf)
+        assert pair.inverse_tol == pytest.approx(1e-12 * cond) and 1.0 < cond < 2.0
+        cfg = _cfg(Scheme.JUNGCK_SCHAEFER, (1.0,) * 200, c=0.5, tol=1e-300, max_iter=20)
+        trace = run_jungck_schaefer(pair, cfg)
+        assert (trace.status, trace.wall_iterations) == (Status.MAX_ITER_EXCEEDED, 20)
+        iterates, residuals, _, _ = _reference_iterate(Scheme.JUNGCK_SCHAEFER, pair.f, cfg, pair)
+        assert trace.xs.tobytes() == _rows(iterates).tobytes()
+        assert trace.residuals == residuals
+
     def test_inverse_is_one_affine_map(self):
         pair, x_star = _commuting_pair(10, seed=3)
         inv = pair.s_inverse
@@ -431,6 +447,8 @@ def _reference_iterate(scheme, f, cfg, pair=None):
     c = 1.0 if scheme is Scheme.PICARD else cfg.c
     x = cfg.seed_point.as_array()
     sx = x if pair is None else pair.s.apply(x)
+    # the pair checks never ask for less than the rounding of S(S^{-1}(y))
+    tol = cfg.tol if pair is None else max(cfg.tol, pair.inverse_tol)
     iterates = [cfg.seed_point]
     residuals = []
     status = Status.MAX_ITER_EXCEEDED
@@ -440,7 +458,7 @@ def _reference_iterate(scheme, f, cfg, pair=None):
         fx = np.asarray(f.fn(x), dtype=float)
         if pair is not None:
             reachable = pair.s.apply(pair.s_inverse.apply(fx))
-            if array_norm(reachable - fx) > cfg.tol * max(1.0, array_norm(fx)):
+            if array_norm(reachable - fx) > tol * max(1.0, array_norm(fx)):
                 raise InverseError(f"f(u_{n - 1}) is not reproducible in the range of S", n)
         w = fx if c == 1.0 else (1.0 - c) * sx + c * fx
         x_new = w if pair is None else pair.s_inverse.apply(w)
@@ -451,7 +469,7 @@ def _reference_iterate(scheme, f, cfg, pair=None):
             diverged_at = n
             break
         sx_new = x_new if pair is None else pair.s.apply(x_new)
-        if pair is not None and array_norm(sx_new - w) > cfg.tol * max(1.0, array_norm(w)):
+        if pair is not None and array_norm(sx_new - w) > tol * max(1.0, array_norm(w)):
             raise InverseError(f"S(s_inverse(w)) != w at iteration {n}", n)
         r = array_norm(sx_new - sx, cfg.norm)
         iterates.append(Point.from_array(x_new))
