@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError, InvalidInput
+from .space import check_size
 
 __all__ = [
     "CClassFunction",
@@ -153,6 +154,7 @@ class Grid1D:
         # written so that a NaN bound fails too
         if not 0 < self.upper < math.inf or self.points < 2:
             raise InvalidInput("grid needs a finite upper > 0 and at least 2 points")
+        check_size(self.points, f"a {self.points}-point grid")
         vals = np.linspace(0.0, self.upper, self.points)
         lo = min(1e-6, self.upper * 1e-7)
         refine = np.geomspace(lo, min(0.1, self.upper / 2.0), 13)
@@ -169,6 +171,7 @@ class Grid2D:
     def axis(self) -> np.ndarray:
         if not 0 < self.upper < math.inf or self.points_per_axis < 2:
             raise InvalidInput("grid needs a finite upper > 0 and at least 2 points per axis")
+        check_size(self.points_per_axis, f"a {self.points_per_axis}-point grid axis")
         return np.linspace(0.0, self.upper, self.points_per_axis)
 
 

@@ -11,7 +11,11 @@ Certification samples pairs from a box: a deterministic structured set
 pairs, so certificates reproduce exactly for a given seed and witness
 selection is first-in-order.  Pairs are evaluated in row blocks whose rows
 are bit-identical to a pair-by-pair evaluation, so the outcome, witness,
-``pairs_checked`` and warnings equal those of a pair-by-pair scan.
+``pairs_checked`` and warnings equal those of a pair-by-pair scan.  Each
+block is decided at once by one array expression, whose first failing row is
+the witness; the C-class forms call psi, phi and G row by row on floats
+before it.  A zero-weight term of M is skipped while no norm in the block
+can overflow, since it then adds exactly +-0.0.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import enum
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -55,6 +60,7 @@ EXACTLY_ONE_SLACK = 1e-12
 _FIRST_CHUNK = 64
 # near-coincident structured pairs sit this fraction of the box width apart
 _NEAR = 1e-8
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -145,11 +151,14 @@ def _sides(
     vs: np.ndarray,
     coeffs: Coefficients,
     k: NormKind,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one inequality kernel: (lhs, M) for each row pair of (N, dim) blocks.
+    triple: Optional[CClassTriple] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one inequality kernel: (lhs, rhs, M) for each row pair of (N, dim) blocks.
 
     Distances are taken through S; ``s=None`` stands for S = identity, which
-    is the plain Hardy-Rogers form.  Row i is bit-identical to the kernel on
+    is the plain Hardy-Rogers form.  The plain forms (``triple=None``) compare
+    lhs with rhs = M; the C-class forms compare psi(lhs) with G(psi(M), phi(M)),
+    called row by row on floats.  Row i is bit-identical to the kernel on
     the one-row block of pair i.
     """
     if us.ndim != 2 or us.shape != vs.shape or us.shape[1] != f.dim:
@@ -164,14 +173,20 @@ def _sides(
         fu, fv = f.apply_batch(us), f.apply_batch(vs)
         su, sv = (us, vs) if s is None else (s.apply_batch(us), s.apply_batch(vs))
         lhs = row_norms(coeffs.delta * (su - sv) + fu - fv, k)
-        m = (
-            coeffs.c1 * row_norms(su - sv, k)
-            + coeffs.c2 * row_norms(su - fu, k)
-            + coeffs.c3 * row_norms(su - fv, k)
-            + coeffs.c4 * row_norms(sv - fu, k)
-            + coeffs.c5 * row_norms(sv - fv, k)
-        )
-    return lhs, m
+        terms = [(coeffs.c1, su, sv), (coeffs.c2, su, fu), (coeffs.c3, su, fv),
+                 (coeffs.c4, sv, fu), (coeffs.c5, sv, fv)]
+        # a zero weight adds +-0.0, which leaves a sum with a nonzero weight in it
+        # unchanged, but 0 * inf = nan on an overflowed norm; while every coordinate
+        # is below this bound, no difference and no norm can overflow
+        if all(np.abs(x).max(initial=0.0) < _FLOAT_MAX / (4 * f.dim) for x in (su, sv, fu, fv)):
+            terms = [t for t in terms if t[0] != 0.0] or terms
+        # summed left to right, as c1 * d1 + c2 * d2 + ... would be
+        m = functools.reduce(operator.add, (c * row_norms(a - b, k) for c, a, b in terms))
+    if triple is None:
+        return lhs, m, m
+    psi_lhs = np.fromiter(map(triple.psi, lhs.tolist()), float, len(lhs))
+    rhs = np.fromiter((triple.g(triple.psi(b), triple.phi(b)) for b in m.tolist()), float, len(m))
+    return psi_lhs, rhs, m
 
 
 def _pair_sides(
@@ -183,23 +198,17 @@ def _pair_sides(
     k: NormKind,
 ) -> tuple[float, float]:
     """(lhs, M) at one raw pair, through the kernel as a one-row block."""
-    lhs, m = _sides(f, s, u[None], v[None], coeffs, k)
+    lhs, _, m = _sides(f, s, u[None], v[None], coeffs, k)
     return float(lhs[0]), float(m[0])
 
 
-def _judge(
-    triple: Optional[CClassTriple], lhs: float, m: float, tol: float
-) -> tuple[bool, float, float]:
-    """(holds, lhs, rhs) from the kernel's (lhs, M): the one decision expression.
-
-    The C-class forms, given their ``triple``, compare psi(lhs) with
-    G(psi(M), phi(M)); the plain forms (``triple=None``) compare lhs with M.
-    """
-    rhs = m
-    if triple is not None:
-        lhs, rhs = triple.psi(lhs), triple.g(triple.psi(m), triple.phi(m))
-    # tolerance is relative to the larger side, floored at absolute scale 1
-    return lhs <= rhs + tol * max(abs(lhs), abs(rhs), 1.0), lhs, rhs
+def _fails(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """The one decision expression: True at each row where lhs exceeds rhs, or either is NaN."""
+    # tolerance is relative to the larger side, floored at absolute scale 1; as on
+    # floats, a sum past the largest float is inf and, at tol = 0, 0 * inf is a
+    # failing nan, both without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(lhs <= rhs + tol * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
 
 
 def hr_sides(
@@ -240,7 +249,8 @@ def pair_holds(
     """Uniform per-pair check across all four variants: (holds, lhs, rhs)."""
     s = variant.s_map if variant.is_jungck else None
     triple = variant.triple if variant.is_cclass else None
-    return _judge(triple, *_pair_sides(f, s, u.as_array(), v.as_array(), coeffs, k), tol)
+    lhs, rhs, _ = _sides(f, s, u.as_array()[None], v.as_array()[None], coeffs, k, triple)
+    return not _fails(lhs, rhs, tol)[0], float(lhs[0]), float(rhs[0])
 
 
 @dataclass(frozen=True)
@@ -381,24 +391,6 @@ def _json_float(x: float):
     return x if np.isfinite(x) else str(x)
 
 
-def _chunk_sides(
-    f: Mapping,
-    s: Optional[Mapping],
-    us: np.ndarray,
-    vs: np.ndarray,
-    coeffs: Coefficients,
-    k: NormKind,
-):
-    """(lhs, M) as floats for each row pair of a chunk, in row order."""
-    try:
-        lhs, m = _sides(f, s, us, vs, coeffs, k)
-    except Exception:
-        # a map may fail on some row; redo the chunk pair by pair, so that the
-        # first violation or the first error, in pair order, decides
-        return (_pair_sides(f, s, u, v, coeffs, k) for u, v in zip(us, vs))
-    return zip(lhs.tolist(), m.tolist())
-
-
 def certify(
     variant: ContractionVariant,
     f: Mapping,
@@ -445,26 +437,36 @@ def certify(
     m_zero_seen = False
     checked = 0
     for us, vs in sampler.blocks():
-        for i, (lhs, m) in enumerate(_chunk_sides(f, s, us, vs, coeffs, k)):
-            checked += 1
-            holds, lhs, rhs = _judge(triple, lhs, m, tol)
-            if triple is not None and not m_zero_seen and m <= tol:
+        # (first row, lhs, rhs, M) of each part: the block, or each of its rows; the
+        # parts hold no rows, so that the last block is freed before the next is evaluated
+        try:
+            parts = [(0, *_sides(f, s, us, vs, coeffs, k, triple))]
+        except Exception:
+            # a map or a triple component may fail on some row; redo the block pair
+            # by pair, so that the first violation or the first error, in pair order, decides
+            parts = ((j, *_sides(f, s, us[j:j + 1], vs[j:j + 1], coeffs, k, triple))
+                     for j in range(len(us)))
+        for j, lhs, rhs, m in parts:
+            # the first failing row, or len(lhs) when every row holds
+            i = int(np.append(_fails(lhs, rhs, tol), True).argmax())
+            if triple is not None and not m_zero_seen and (m[:i + 1] <= tol).any():
                 m_zero_seen = True
                 warnings.append("aggregate sum M = 0 encountered; G(psi(0), phi(0)) decides")
-            if not holds:
+            if i < len(lhs):
                 return ContractionCertificate(
                     variant=variant.tag,
                     coeffs=coeffs,
                     norm=k,
                     seed=sampler.seed,
-                    pairs_checked=checked,
+                    pairs_checked=checked + i + 1,
                     satisfied=False,
-                    witness_u=Point.from_array(us[i]),
-                    witness_v=Point.from_array(vs[i]),
-                    witness_lhs=lhs,
-                    witness_rhs=rhs,
+                    witness_u=Point.from_array(us[j + i]),
+                    witness_v=Point.from_array(vs[j + i]),
+                    witness_lhs=float(lhs[i]),
+                    witness_rhs=float(rhs[i]),
                     warnings=tuple(warnings),
                 )
+            checked += len(lhs)
     return ContractionCertificate(
         variant=variant.tag,
         coeffs=coeffs,

@@ -16,7 +16,7 @@ import numpy as np
 from .contraction import Coefficients, ContractionVariant, Variant
 from .errors import ConfigError, InvalidInput, NoRootBracketed
 from .solver import PairProblem
-from .space import Mapping, Point
+from .space import Mapping, Point, check_size
 
 __all__ = [
     "ProblemInstance",
@@ -138,6 +138,8 @@ def get_problem(name: str) -> ProblemInstance:
             raise ConfigError(f"bad random-affine spec {name!r}: {exc}") from exc
         if seed < 0:
             raise ConfigError(f"bad random-affine spec {name!r}: negative seed {seed}")
+        # checked before random_affine allocates the matrix; it refuses dim < 1 itself
+        check_size(max(dim, 0) ** 2, f"a {dim} x {dim} matrix")
         return random_affine(dim, cap, seed)
     known = ", ".join(p.name for p in builtin_problems())
     raise ConfigError(f"unknown problem {name!r}; known problems: {known}")

@@ -24,6 +24,8 @@ __all__ = [
     "row_norms",
     "block_sizes",
     "check_commuting",
+    "MAX_ARRAY_BYTES",
+    "check_size",
 ]
 
 
@@ -102,6 +104,15 @@ def row_norms(block: np.ndarray, k: NormKind = NormKind.L2) -> np.ndarray:
 
 # a block of rows holds about this many coordinates at most
 _CHUNK_FLOATS = 8192
+# the largest array a size argument may ask for; larger is refused before allocating
+MAX_ARRAY_BYTES = 1 << 30
+
+
+def check_size(count: int, what: str) -> None:
+    """Raise InvalidInput if ``count`` float64 values exceed MAX_ARRAY_BYTES."""
+    if count * 8 > MAX_ARRAY_BYTES:
+        raise InvalidInput(f"{what} needs {count * 8 / 2**30:.3g} GiB, over the "
+                           f"{MAX_ARRAY_BYTES / 2**30:g} GiB size ceiling")
 
 
 def block_sizes(first: int, dim: int) -> Iterator[int]:

@@ -8,6 +8,8 @@ including first violations on either side of a block edge.
 """
 
 import itertools
+import math
+import json
 from dataclasses import dataclass
 from unittest import mock
 
@@ -17,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enrichedfp import contraction
-from enrichedfp.cclass import get_triple
+from enrichedfp.cclass import (
+    AlteringDistance,
+    CClassFunction,
+    CClassTriple,
+    PhiU,
+    get_triple,
+)
 from enrichedfp.contraction import (
     Coefficients,
     ContractionCertificate,
@@ -39,6 +47,11 @@ from enrichedfp.space import (
 
 entries = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 any_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _examples(n):
+    """``n`` examples under the default profile, scaled with the loaded profile's budget."""
+    return n * settings.default.max_examples // 100
 
 
 def _reference_sides(f, s, u, v, coeffs, k):
@@ -116,7 +129,7 @@ def _assert_norms_match(block):
             assert np.array_equal(got, array_norm(row, k), equal_nan=True)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=_examples(80), deadline=None)
 @given(data=st.data(), f=affine_maps())
 def test_apply_batch_rows_equal_apply(data, f):
     n = data.draw(st.integers(min_value=0, max_value=40))
@@ -132,7 +145,7 @@ def test_apply_batch_rows_equal_apply_non_affine_and_100d():
     _assert_rows_match(f, rng.uniform(-10.0, 10.0, size=(300, 100)))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=_examples(80), deadline=None)
 @given(data=st.data(), dim=st.integers(min_value=1, max_value=8))
 def test_row_norms_equal_array_norm(data, dim):
     n = data.draw(st.integers(min_value=0, max_value=20))
@@ -164,7 +177,7 @@ def test_pairs_are_the_structured_prefix_then_the_uniform_pairs():
         assert np.array_equal(u, eu) and np.array_equal(v, ev)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=_examples(80), deadline=None)
 @given(
     count=st.integers(min_value=0, max_value=300),
     dim=st.integers(min_value=1, max_value=6),
@@ -231,7 +244,7 @@ def _same_certificate(variant, f, coeffs, sampler, k, tol=1e-9):
     return cert
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=_examples(120), deadline=None)
 @given(
     f=affine_maps(linear=True),
     tag=st.sampled_from(Variant),
@@ -247,9 +260,64 @@ def test_certificate_equals_pair_by_pair_reference(f, tag, cs, delta, count, see
     _same_certificate(_variant(tag, f), f, _coeffs(tag, cs, delta), sampler, k, tol)
 
 
+# a zero weight, or a weight that is not; -0.0 is a zero weight too
+weights = st.sampled_from([0.0, -0.0]) | st.floats(min_value=0.0, max_value=0.19)
+
+
+@settings(max_examples=_examples(120), deadline=None)
+@given(
+    g=affine_maps(linear=True),
+    scale=st.sampled_from([1.0, 20.0, 1e10]),
+    tag=st.sampled_from(Variant),
+    cs=st.lists(weights, min_size=5, max_size=5),
+    delta=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=3.0),
+    hi=st.sampled_from([3.0, 1e300, 1e306, 4e306, 1e307]),
+    signed=st.booleans(),
+    count=st.integers(min_value=0, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32),
+    k=st.sampled_from(NormKind),
+    tol=st.sampled_from([0.0, 1e-9, 0.5]),
+)
+def test_zero_weights_and_huge_boxes_equal_the_reference(
+        g, scale, tag, cs, delta, hi, signed, count, seed, k, tol):
+    # zero-weight terms are skipped only while no norm can overflow; in boxes up to
+    # 1e307, a map scaled by 20 or 1e10 overflows, and a skipped 0 * inf would hide a nan
+    f = Mapping.affine(scale * g.matrix, g.offset)
+    sampler = PairSampler(dim=f.dim, lo=-hi if signed else 0.0, hi=hi, count=count, seed=seed)
+    variant, coeffs = _variant(tag, f), _coeffs(tag, cs, delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = reference_certify(variant, f, coeffs, sampler, k, tol).to_json()
+        except (EvaluationError, InvalidConfig) as exc:
+            # a triple component or the commuting check meets a non-finite value
+            with pytest.raises(type(exc)) as err:
+                certify(variant, f, coeffs, sampler, k, tol)
+            assert str(err.value) == str(exc)
+            return
+    assert certify(variant, f, coeffs, sampler, k, tol).to_json() == want
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("cs", [(0.5, 0, 0, 0, 0), (0, 0.4, 0, 0, 0.4)], ids=["c1", "c2-c5"])
+@pytest.mark.parametrize("hi", [1e300, 1e307])
+def test_zero_weight_on_an_overflowed_norm_equals_the_reference(dim, cs, hi):
+    # 20 v overflows at v = 1e307 in pair 1, so every term holding f(v) is inf and,
+    # at a zero weight, nan; at 1e300 nothing overflows and the zero terms are skipped
+    f = Mapping.affine(20.0 * np.eye(dim), np.zeros(dim))
+    sampler = PairSampler(dim=dim, lo=0.0, hi=hi, count=50)
+    variant, coeffs = ContractionVariant(Variant.HARDY_ROGERS), Coefficients(0.0, *cs)
+    for k in NormKind:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_certify(variant, f, coeffs, sampler, k).to_json()
+        assert certify(variant, f, coeffs, sampler, k).to_json() == want
+        rhs = json.loads(want)["witness"]["rhs"]
+        assert (rhs == "nan") if hi == 1e307 else (0.0 < rhs < np.inf)
+
+
 @dataclass(frozen=True)
 class PlantedSampler(PairSampler):
-    """Pairs (x, x), which hold, except pair ``bad`` (1-based), which has u != v.
+    """Pairs (x, x), which hold, except pair ``bad`` (1-based), which has u != v,
+    and pair ``far``, if any, whose v lies 1e7 away.
 
     The first ``split`` pairs and the rest are each cut into blocks on the
     sampler's schedule, so blocks end at ``split`` and at the schedule's edges.
@@ -257,12 +325,15 @@ class PlantedSampler(PairSampler):
 
     bad: int = 1
     split: int = 0
+    far: int = 0
 
     def blocks(self):
         rng = np.random.default_rng(self.seed)
         us = rng.uniform(self.lo, self.hi, size=(self.count, self.dim))
         vs = us.copy()
         vs[self.bad - 1] += 1.0
+        if self.far:
+            vs[self.far - 1] += 1e7
         sizes = block_sizes(contraction._FIRST_CHUNK, self.dim)
         for start, stop in ((0, self.split), (self.split, self.count)):
             while start < stop:
@@ -314,6 +385,34 @@ def test_map_that_raises_in_a_block_gives_the_reference_outcome(violation, error
                 run(variant, f, coeffs, sampler, NormKind.L2)
 
 
+# psi overflows past 1e6, which the triple's validation grid, [0, 10], never reaches
+_CAPPED_PSI = CClassTriple(
+    psi=AlteringDistance(lambda t: t if t < 1e6 else math.inf, "capped"),
+    phi=PhiU(lambda t: t, "identity"),
+    g=CClassFunction(lambda s, t: s - t, "s-t"),
+)
+
+
+@pytest.mark.parametrize("violation, error", [(70, 100), (5, 10), (10, 5), (100, 70)])
+def test_triple_that_fails_in_a_block_gives_the_reference_outcome(violation, error):
+    # psi meets lhs = 3e7 at pair ``error``; the C-class forms evaluate psi over a
+    # whole block, so an error past the first violation must not be raised
+    sampler = PlantedSampler(dim=1, count=200, seed=1, bad=violation, split=8, far=error)
+    f = Mapping.affine([[3.0]], [0.0])
+    variant = ContractionVariant(Variant.CCLASS_HARDY_ROGERS, triple=_CAPPED_PSI)
+    coeffs = Coefficients(c1=1.0)
+    if violation < error:
+        cert = _same_certificate(variant, f, coeffs, sampler, NormKind.L2)
+        assert cert.pairs_checked == violation
+    else:
+        messages = []
+        for run in (certify, reference_certify):
+            with pytest.raises(EvaluationError) as err:
+                run(variant, f, coeffs, sampler, NormKind.L2)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
 # the solver's in-place kernels against the expressions they replaced: equal bits
 
 # signed zeros, subnormals and the largest magnitudes, where a reordering would show
@@ -333,7 +432,7 @@ def _array(data, shape):
     return np.array(data.draw(st.lists(edge_floats, min_size=n, max_size=n))).reshape(shape)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_examples(150), deadline=None)
 @given(data=st.data(), dim=st.integers(min_value=1, max_value=8))
 def test_apply_into_equals_apply(data, dim):
     f = Mapping.affine(_array(data, (dim, dim)), _array(data, (dim,)))
@@ -368,7 +467,7 @@ def test_apply_into_refuses_a_result_of_another_shape(shape):
     assert not out.any()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_examples(150), deadline=None)
 @given(data=st.data(), dim=st.integers(min_value=1, max_value=8),
        c=st.sampled_from([1.0, 0.5, 0.001, 1e-300]) | st.floats(min_value=1e-9, max_value=1.0))
 def test_in_place_average_equals_the_expression(data, dim, c):

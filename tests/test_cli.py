@@ -13,6 +13,9 @@ import pytest
 
 import enrichedfp
 import enrichedfp.cli as cli
+import enrichedfp.problems as problems
+import enrichedfp.space as space
+from enrichedfp.cclass import Grid1D, Grid2D
 from enrichedfp.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -20,7 +23,7 @@ from enrichedfp.cli import (
     EXIT_VIOLATED,
     main,
 )
-from enrichedfp.errors import EvaluationError
+from enrichedfp.errors import EvaluationError, InvalidInput
 from enrichedfp.problems import ProblemInstance, get_problem
 from enrichedfp.solver import Scheme, SolverConfig, run_schaefer
 from enrichedfp.space import Mapping, Point
@@ -424,6 +427,18 @@ class TestVerifyContraction:
         witness = json.loads(open("certificate.json").read(), parse_constant=reject)["witness"]
         assert (witness["lhs"], witness["rhs"]) == ("inf", "nan")
 
+    def test_zero_weight_on_an_overflowed_distance_keeps_the_nan(self, capsys):
+        # at pair 1, ||v - f(v)|| = 1.8e308 overflows and its zero weight c5 gives
+        # 0 * inf = nan, so M is nan and the pair fails; skipping the zero-weight
+        # terms without the overflow guard would make the certificate satisfied
+        code = main(["verify-contraction", "--problem", "reflection", "--variant",
+                     "hardy-rogers", "--delta", "1", "--c1", "0.5", "--box", "0", "9e307"])
+        assert code == EXIT_VIOLATED
+        assert capsys.readouterr().out == "violated: hardy-rogers on reflection over 1 pairs\n"
+        report = json.load(open("certificate.json"))
+        assert report["pairs_checked"] == 1
+        assert report["witness"] == {"lhs": 0.0, "rhs": "nan", "u": [0.0], "v": [9e307]}
+
 
 class TestVerifyCClass:
     def test_monotone_builtin_matches(self):
@@ -521,11 +536,54 @@ def test_no_command_is_config_error():
     assert main([]) == EXIT_CONFIG
 
 
-def test_refused_allocation_is_config_error(capsys):
-    # a 99999999 x 99999999 matrix is 71 PiB: numpy refuses it at once
-    assert main(["run", "--problem", "random-affine:99999999:0.5:1"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+def test_refused_allocation_is_config_error(monkeypatch, capsys):
+    # an allocation numpy refuses is a bad size flag
+    def refuse(name):
+        raise MemoryError("Unable to allocate 71.1 PiB for an array")
+
+    monkeypatch.setattr(cli, "get_problem", refuse)
+    assert main(["run", "--problem", "half-map"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: Unable to allocate 71.1 PiB for an array\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--problem", "random-affine:30000:0.5:1"],
+     "a 30000 x 30000 matrix needs 6.71 GiB, over the 1 GiB size ceiling"),
+    (["run", "--problem", "random-affine:99999999:0.5:1"],
+     "a 99999999 x 99999999 matrix needs 7.45e+07 GiB, over the 1 GiB size ceiling"),
+    (["verify-cclass", "--triple", "identity-triple", "--grid-points", "1000000000"],
+     "a 1000000000-point grid needs 7.45 GiB, over the 1 GiB size ceiling"),
+], ids=["matrix-30000", "matrix-99999999", "grid-1e9"])
+def test_size_over_the_ceiling_exits_64_before_allocating(argv, message, monkeypatch, capsys):
+    # the calls that would allocate these sizes fail the test instead, so that a
+    # missing check never asks this process for gigabytes
+    random_affine, linspace = problems.random_affine, np.linspace
+
+    def small_affine(dim, cap, seed):
+        assert dim <= 1000, f"random_affine reached with dim {dim}"
+        return random_affine(dim, cap, seed)
+
+    def small_linspace(start, stop, num=50, **kwargs):
+        assert num <= 10**6, f"linspace reached with {num} points"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(problems, "random_affine", small_affine)
+    monkeypatch.setattr(np, "linspace", small_linspace)
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_size_ceiling_boundary(monkeypatch):
+    # at a 100-float ceiling, 100 grid points fit and 101 do not
+    monkeypatch.setattr(space, "MAX_ARRAY_BYTES", 800)
+    assert len(Grid1D(points=100).values()) >= 100
+    with pytest.raises(InvalidInput, match="a 101-point grid needs"):
+        Grid1D(points=101).values()
+    with pytest.raises(InvalidInput, match="a 101-point grid axis needs"):
+        Grid2D(points_per_axis=101).axis()
+    with pytest.raises(InvalidInput, match="a 11 x 11 matrix needs"):
+        get_problem("random-affine:11:0.5:1")
+    assert get_problem("random-affine:10:0.5:1").f.dim == 10
 
 
 def _limit_address_space():

@@ -1,9 +1,16 @@
 import json
 import math
+import struct
+import warnings
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enrichedfp import contraction
 from enrichedfp.cclass import get_triple
 from enrichedfp.contraction import (
     Coefficients,
@@ -370,3 +377,56 @@ def test_pair_holds_uniform_api():
         Point.of(2.0), Point.of(0.0), Coefficients(c1=0.6),
     )
     assert ok and lhs == 1.0 and rhs == pytest.approx(1.2, rel=1e-15)
+
+
+# the block decision against the scalar expression it replaced, row by row
+
+_EDGES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+          2.2250738585072014e-308, 1.0, 1.0 + 1e-9, 1.7976931348623157e308]
+sides = st.sampled_from(_EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _scalar_holds(lhs, m, tol):
+    """The per-pair decision ``certify`` made on Python floats before it decided blocks."""
+    return lhs <= m + tol * max(abs(lhs), abs(m), 1.0)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@dataclass(frozen=True)
+class _CutSampler(PairSampler):
+    """Zero pairs, cut into blocks of the given row counts."""
+
+    cuts: tuple = ()
+
+    def blocks(self):
+        for rows in self.cuts:
+            yield np.zeros((rows, 1)), np.zeros((rows, 1))
+
+
+@settings(deadline=None)
+@given(data=st.data(), cuts=st.lists(st.integers(1, 20), min_size=1, max_size=3),
+       tol=st.sampled_from([0.0, 1e-9, 1.0]))
+def test_block_decision_equals_the_scalar_decision(data, cuts, tol):
+    blocks = [tuple(np.array(data.draw(st.lists(sides, min_size=n, max_size=n)))
+                    for _ in "lm") for n in cuts]
+    flat = [(l, m) for lhs, m in blocks for l, m in zip(lhs.tolist(), m.tolist())]
+    first = next((i for i, (l, m) in enumerate(flat) if not _scalar_holds(l, m, tol)), None)
+    # the kernel's (lhs, rhs, M) of a plain form, block by block
+    feed = ((lhs, m, m) for lhs, m in blocks)
+    with warnings.catch_warnings(), mock.patch.object(contraction, "_sides",
+                                                      lambda *args: next(feed)):
+        # an overflowing sum, or 0 * inf at tol = 0, must not warn: on floats neither does
+        warnings.simplefilter("error")
+        for lhs, m in blocks:
+            assert contraction._fails(lhs, m, tol).tolist() == [
+                not _scalar_holds(l, r, tol) for l, r in zip(lhs.tolist(), m.tolist())]
+        cert = certify(ContractionVariant(Variant.HARDY_ROGERS), _half(), Coefficients(c1=0.5),
+                       _CutSampler(dim=1, cuts=tuple(cuts)), tol=tol)
+    if first is None:
+        assert cert.satisfied and cert.pairs_checked == len(flat)
+    else:
+        assert not cert.satisfied and cert.pairs_checked == first + 1
+        assert (_bits(cert.witness_lhs), _bits(cert.witness_rhs)) == tuple(map(_bits, flat[first]))
