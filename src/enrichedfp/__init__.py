@@ -7,8 +7,6 @@ from .cclass import (
     CClassTriple,
     Grid1D,
     Grid2D,
-    MonotoneResult,
-    MonotoneState,
     PhiU,
     ValidationReport,
     builtin_triples,

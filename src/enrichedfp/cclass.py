@@ -10,12 +10,13 @@ Continuity is not machine-checkable; validators work on finite grids with
 tolerance bands and are documented heuristics.  Equality in the degeneracy
 axiom uses a band |G - s| <= tol because exact float equality almost never
 triggers.  Witnesses are reported first-in-grid-order so reruns and
-partitioned scans agree.
+partitioned scans agree.  Every validator returns a ``ValidationReport``;
+``validate_cclass`` and ``validate_phiu`` evaluate point by point and stop at
+the first failure, so that an evaluation error further on cannot replace it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -30,8 +31,6 @@ __all__ = [
     "AlteringDistance",
     "PhiU",
     "CClassTriple",
-    "MonotoneState",
-    "MonotoneResult",
     "ValidationReport",
     "Grid1D",
     "Grid2D",
@@ -101,17 +100,6 @@ class PhiU:
         return _eval_checked(self.fn, t, self.label)
 
 
-class MonotoneState(enum.Enum):
-    MONOTONE_ON_GRID = "monotone-on-grid"
-    VIOLATED = "violated"
-
-
-@dataclass(frozen=True)
-class MonotoneResult:
-    state: MonotoneState
-    witness: Optional[tuple[float, float]] = None  # (x, y) with x < y, h(x) > h(y)
-
-
 @dataclass(frozen=True)
 class TripleExpectation:
     """Pre-labeled outcomes for a built-in triple, reproduced by the validators."""
@@ -133,6 +121,8 @@ class CClassTriple:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Every validator's outcome: the first failing axiom and its witness, in grid order."""
+
     subject: str
     passed: bool
     axiom: Optional[str] = None
@@ -157,6 +147,8 @@ class Grid1D:
         check_size(self.points, f"a {self.points}-point grid")
         vals = np.linspace(0.0, self.upper, self.points)
         lo = min(1e-6, self.upper * 1e-7)
+        if lo == 0.0:  # a subnormal upper: geomspace cannot start at 0
+            raise InvalidInput(f"grid upper {self.upper} is too small: the refinement underflows")
         refine = np.geomspace(lo, min(0.1, self.upper / 2.0), 13)
         return np.union1d(vals, refine)
 
@@ -210,14 +202,13 @@ def validate_altering(
     zero = psi(0.0)
     if abs(zero) > tol:
         return ValidationReport(psi.label, False, "zero-at-zero", (0.0, zero))
-    for t, v in zip(ts, vals):
-        if t > tol and v <= tol:
-            return ValidationReport(psi.label, False, "positivity", (float(t), float(v)))
-    for i in range(len(ts) - 1):
-        if vals[i] > vals[i + 1] + tol:
-            return ValidationReport(
-                psi.label, False, "non-decreasing", (float(ts[i]), float(ts[i + 1]))
-            )
+    # the first grid point, in order, where psi is not positive past tol, then the
+    # first step where it decreases; the witness is (t, psi(t)), then the step's ends
+    for axiom, bad, ys in (("positivity", (ts > tol) & (vals <= tol), vals),
+                           ("non-decreasing", vals[:-1] > vals[1:] + tol, ts[1:])):
+        if bad.any():
+            i = int(bad.argmax())
+            return ValidationReport(psi.label, False, axiom, (float(ts[i]), float(ys[i])))
     return ValidationReport(psi.label, True)
 
 
@@ -244,7 +235,7 @@ def validate_monotone_triple(
     triple: CClassTriple,
     grid: Grid1D = Grid1D(),
     tol: float = DEFAULT_TOL,
-) -> MonotoneResult:
+) -> ValidationReport:
     """Check that h(x) = G(psi(x), phi(x)) is non-decreasing over all grid pairs.
 
     All pairs (x, y), x < y are covered via a running maximum; the witness is
@@ -256,17 +247,13 @@ def validate_monotone_triple(
     h = np.array(
         [triple.g(triple.psi(float(x)), triple.phi(float(x))) for x in xs]
     )
-    best = h[0]
-    for j in range(1, len(xs)):
-        if best > h[j] + tol:
-            mask = h[:j] > h[j] + tol
-            i = int(np.argmax(mask))  # first True in ascending x order
-            return MonotoneResult(
-                MonotoneState.VIOLATED, (float(xs[i]), float(xs[j]))
-            )
-        if h[j] > best:
-            best = h[j]
-    return MonotoneResult(MonotoneState.MONOTONE_ON_GRID)
+    # entry j - 1 is True when some h[i], i < j, exceeds h[j] + tol
+    bad = np.maximum.accumulate(h)[:-1] > h[1:] + tol
+    if not bad.any():
+        return ValidationReport(triple.name, True)
+    j = int(bad.argmax()) + 1
+    i = int(np.argmax(h[:j] > h[j] + tol))  # first True in ascending x order
+    return ValidationReport(triple.name, False, "non-decreasing", (float(xs[i]), float(xs[j])))
 
 
 def _piecewise_root_square(x: float) -> float:

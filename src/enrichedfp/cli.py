@@ -16,9 +16,11 @@ byte-identical across reruns with identical flags and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .cclass import (
     DEFAULT_TOL as GRID_TOL,
     Grid1D,
     Grid2D,
-    MonotoneState,
     _Overflow,
     builtin_triples,
     get_triple,
@@ -53,6 +54,7 @@ from .errors import (
 )
 from .problems import ProblemInstance, builtin_problems, get_problem
 from .solver import (
+    PairProblem,
     Scheme,
     SolverConfig,
     Status,
@@ -113,7 +115,7 @@ def _parse_config_file(path: str) -> dict[str, object]:
     out: dict[str, object] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,13 +170,14 @@ def _summary_text(cfg: SolverConfig, status: Status, iterations: int, last, resi
     return "\n".join(lines) + "\n"
 
 
-def _solve(problem: ProblemInstance, cfg: SolverConfig) -> _Run:
-    """The configured scheme's run on ``problem``, block by block; the one scheme dispatch."""
-    jungck = cfg.scheme is Scheme.JUNGCK_SCHAEFER
-    if jungck and not problem.is_pair:
+def _pair_for(problem: ProblemInstance, scheme: Scheme) -> Optional[PairProblem]:
+    """The pair ``scheme`` steps with on ``problem``: None unless it is jungck-schaefer."""
+    if scheme is not Scheme.JUNGCK_SCHAEFER:
+        return None
+    if not problem.is_pair:
         raise ConfigError(
             f"problem {problem.name!r} has no companion map; jungck-schaefer needs a pair problem")
-    return _Run(_iterate(cfg.scheme, problem.f, cfg, problem.pair() if jungck else None))
+    return problem.pair()
 
 
 def cmd_run(args) -> int:
@@ -197,7 +200,7 @@ def cmd_run(args) -> int:
         if c is None:
             c = 1.0 if scheme is Scheme.PICARD else DEFAULT_C
         cfg = SolverConfig(scheme=scheme, seed_point=seed, c=c, **kw)
-    run = _solve(problem, cfg)
+    run = _Run(_iterate(scheme, problem.f, cfg, _pair_for(problem, scheme)))
     blocks = iter(run)
     # the run's up-front checks raise here, before any file is written
     csv = _CsvWriter(next(blocks)[0][0], include_coords=not args.no_coords)
@@ -255,15 +258,9 @@ def cmd_verify_cclass(args) -> int:
             f"{exc}: --grid-upper puts the grid out of range for this function",
             exc.offending_input) from exc
 
-    expected = triple.expected
-    matched = True
-    if expected is not None:
-        matched = (
-            psi_rep.passed == expected.psi_ok
-            and phi_rep.passed == expected.phi_ok
-            and g_rep.passed == expected.g_ok
-            and (mono.state is MonotoneState.MONOTONE_ON_GRID) == expected.monotone
-        )
+    # (psi_ok, phi_ok, g_ok, monotone), in the order of the reports
+    passed = tuple(rep.passed for rep in (psi_rep, phi_rep, g_rep, mono))
+    matched = triple.expected is None or passed == dataclasses.astuple(triple.expected)
 
     def line(label, rep):
         out = f"{label} = {'pass' if rep.passed else 'fail'}"
@@ -276,9 +273,9 @@ def cmd_verify_cclass(args) -> int:
         line("psi", psi_rep),
         line("phi", phi_rep),
         line("g", g_rep),
-        f"monotone = {mono.state.value}",
+        f"monotone = {'monotone-on-grid' if mono.passed else 'violated'}",
     ]
-    if mono.witness is not None:
+    if not mono.passed:
         lines.append(f"monotone_witness = {_fmt(mono.witness[0])},{_fmt(mono.witness[1])}")
     lines.append(f"expected_matched = {'yes' if matched else 'no'}")
     report = "\n".join(lines) + "\n"
@@ -300,12 +297,13 @@ def cmd_sweep(args) -> int:
     start = Point(_parse_start(args.start)) if args.start else Point.from_array(np.zeros(dim))
 
     rows = ["c,iterations,status,final_residual"]
+    pair = _pair_for(problem, scheme)  # once: each build checks S's rank and inverts S
     for c in c_values:
         cfg = SolverConfig(
             scheme=scheme, seed_point=start, c=c, tol=args.tol,
             max_iter=args.max_iter, norm=_lookup(_NORMS, args.norm, "norm"),
         )
-        run, iterations, residual = _solve(problem, cfg), 0, None
+        run, iterations, residual = _Run(_iterate(scheme, problem.f, cfg, pair)), 0, None
         for _, r in run:
             if len(r):
                 iterations, residual = iterations + len(r), r[-1]

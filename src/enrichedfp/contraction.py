@@ -20,6 +20,7 @@ can overflow, since it then adds exactly +-0.0.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import itertools
@@ -189,19 +190,6 @@ def _sides(
     return psi_lhs, rhs, m
 
 
-def _pair_sides(
-    f: Mapping,
-    s: Optional[Mapping],
-    u: np.ndarray,
-    v: np.ndarray,
-    coeffs: Coefficients,
-    k: NormKind,
-) -> tuple[float, float]:
-    """(lhs, M) at one raw pair, through the kernel as a one-row block."""
-    lhs, _, m = _sides(f, s, u[None], v[None], coeffs, k)
-    return float(lhs[0]), float(m[0])
-
-
 def _fails(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
     """The one decision expression: True at each row where lhs exceeds rhs, or either is NaN."""
     # tolerance is relative to the larger side, floored at absolute scale 1; as on
@@ -219,12 +207,12 @@ def hr_sides(
     k: NormKind = NormKind.L2,
 ) -> tuple[float, float]:
     """Left and right sides of the enriched Hardy-Rogers inequality at (u, v)."""
-    return _pair_sides(f, None, u.as_array(), v.as_array(), coeffs, k)
+    return jungck_sides(f, None, u, v, coeffs, k)
 
 
 def jungck_sides(
     f: Mapping,
-    s: Mapping,
+    s: Optional[Mapping],
     u: Point,
     v: Point,
     coeffs: Coefficients,
@@ -232,9 +220,11 @@ def jungck_sides(
 ) -> tuple[float, float]:
     """Jungck-type sides: distances are taken through the companion map S.
 
-    With S = identity this reduces to hr_sides exactly.
+    ``s=None`` stands for S = identity, which is hr_sides; an identity S gives
+    the same sides exactly.
     """
-    return _pair_sides(f, s, u.as_array(), v.as_array(), coeffs, k)
+    lhs, _, m = _sides(f, s, u.as_array()[None], v.as_array()[None], coeffs, k)
+    return float(lhs[0]), float(m[0])
 
 
 def pair_holds(
@@ -357,12 +347,7 @@ class ContractionCertificate:
         return {
             "variant": self.variant.value,
             "coefficients": {
-                "delta": self.coeffs.delta,
-                "c1": self.coeffs.c1,
-                "c2": self.coeffs.c2,
-                "c3": self.coeffs.c3,
-                "c4": self.coeffs.c4,
-                "c5": self.coeffs.c5,
+                **dataclasses.asdict(self.coeffs),
                 # the weight-sum rule certify applied, which the variant decides
                 "sum_mode": "exactly-one" if self.variant in _CCLASS_TAGS
                 else "strictly-less-one",
@@ -435,7 +420,8 @@ def certify(
 
     triple = variant.triple if variant.is_cclass else None
     m_zero_seen = False
-    checked = 0
+    # pairs checked, and (u, v, lhs, rhs) at the first violation, None if every pair holds
+    checked, witness = 0, None
     for us, vs in sampler.blocks():
         # (first row, lhs, rhs, M) of each part: the block, or each of its rows; the
         # parts hold no rows, so that the last block is freed before the next is evaluated
@@ -452,27 +438,12 @@ def certify(
             if triple is not None and not m_zero_seen and (m[:i + 1] <= tol).any():
                 m_zero_seen = True
                 warnings.append("aggregate sum M = 0 encountered; G(psi(0), phi(0)) decides")
+            checked += min(i + 1, len(lhs))
             if i < len(lhs):
-                return ContractionCertificate(
-                    variant=variant.tag,
-                    coeffs=coeffs,
-                    norm=k,
-                    seed=sampler.seed,
-                    pairs_checked=checked + i + 1,
-                    satisfied=False,
-                    witness_u=Point.from_array(us[j + i]),
-                    witness_v=Point.from_array(vs[j + i]),
-                    witness_lhs=float(lhs[i]),
-                    witness_rhs=float(rhs[i]),
-                    warnings=tuple(warnings),
-                )
-            checked += len(lhs)
-    return ContractionCertificate(
-        variant=variant.tag,
-        coeffs=coeffs,
-        norm=k,
-        seed=sampler.seed,
-        pairs_checked=checked,
-        satisfied=True,
-        warnings=tuple(warnings),
-    )
+                witness = (Point.from_array(us[j + i]), Point.from_array(vs[j + i]),
+                           float(lhs[i]), float(rhs[i]))
+                break
+        if witness is not None:
+            break
+    return ContractionCertificate(variant.tag, coeffs, k, sampler.seed, checked, witness is None,
+                                  *(witness or (None,) * 4), warnings=tuple(warnings))

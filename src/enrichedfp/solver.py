@@ -144,16 +144,11 @@ class IterationTrace:
     def last(self) -> Point:
         return Point.from_array(self.xs[-1])
 
-    def csv_blocks(self, include_coords: bool = True) -> Iterator[bytes]:
-        """CSV body as ASCII byte blocks: ``_CsvWriter`` fed the stored rows, header first."""
-        csv = _CsvWriter(self.xs[0], include_coords)
-        yield csv.header
-        yield from csv.rows(self.xs[1:], np.array(self.residuals))
-        yield csv.flush()
-
     def to_csv(self, include_coords: bool = True) -> str:
-        """The whole CSV body as one string: the join of ``csv_blocks``."""
-        return b"".join(self.csv_blocks(include_coords)).decode("ascii")
+        """The whole CSV body as one string: ``_CsvWriter`` fed the stored rows, header first."""
+        csv = _CsvWriter(self.xs[0], include_coords)
+        body = csv.rows(self.xs[1:], np.array(self.residuals))
+        return b"".join([csv.header, *body, csv.flush()]).decode("ascii")
 
 
 def _fmt(x: float) -> str:

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from enrichedfp.cclass import (
-    MonotoneState,
     get_triple,
     validate_altering,
     validate_cclass,
@@ -187,11 +186,11 @@ def test_criterion_7_cclass_fixtures():
         assert validate_altering(mono.psi).passed
         assert validate_phiu(mono.phi).passed
         assert validate_cclass(mono.g).passed
-        assert validate_monotone_triple(mono).state is MonotoneState.MONOTONE_ON_GRID
+        assert validate_monotone_triple(mono).passed
 
         nonmono = get_triple("example-2.6-nonmonotone")
         res = validate_monotone_triple(nonmono)
-        assert res.state is MonotoneState.VIOLATED
+        assert not res.passed
         x, y = res.witness
         assert x < y
         assert 0.39 <= x and y <= 1.0

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enrichedfp.cclass import (
     AlteringDistance,
     CClassFunction,
+    CClassTriple,
     Grid1D,
     Grid2D,
-    MonotoneState,
     PhiU,
     _Overflow,
     builtin_triples,
@@ -32,6 +34,19 @@ def test_grid_upper_must_be_positive_and_finite(upper):
         Grid1D(upper=upper).values()
     with pytest.raises(InvalidInput):
         Grid2D(upper=upper).axis()
+
+
+@pytest.mark.parametrize("upper", [5e-324, 1e-320])
+def test_grid1d_upper_whose_refinement_underflows(upper):
+    # min(1e-6, upper * 1e-7) is 0 below about 5e-317: the log refinement cannot start there
+    with pytest.raises(InvalidInput, match="too small"):
+        Grid1D(upper=upper).values()
+
+
+def test_grid1d_smallest_upper_still_refines():
+    vals = Grid1D(upper=1e-316, points=3).values()
+    assert vals[0] == 0.0 and vals[-1] == 1e-316
+    assert np.all(np.diff(vals) > 0)
 
 
 def test_grid1d_sorted_and_starts_at_zero():
@@ -148,15 +163,17 @@ def _brute_force_first_violation(grid: np.ndarray, h: np.ndarray, tol: float):
 
 def test_monotone_triple_paper_example_passes():
     res = validate_monotone_triple(get_triple("example-2.5-monotone"))
-    assert res.state is MonotoneState.MONOTONE_ON_GRID
+    assert res.passed
     assert res.witness is None
+    assert res.subject == "example-2.5-monotone" and res.axiom is None
 
 
 def test_monotone_triple_square_weighting_violated_matches_oracle():
     grid = Grid1D()
     triple = get_triple("example-2.6-nonmonotone")
     res = validate_monotone_triple(triple, grid)
-    assert res.state is MonotoneState.VIOLATED
+    assert not res.passed
+    assert res.subject == "example-2.6-nonmonotone" and res.axiom == "non-decreasing"
 
     xs = grid.values()
     h = np.array([triple.g(triple.psi(float(x)), triple.phi(float(x))) for x in xs])
@@ -172,7 +189,7 @@ def test_monotone_triple_square_weighting_violated_matches_oracle():
 
 def test_monotone_identity_triple_constant_composition():
     res = validate_monotone_triple(get_triple("identity-triple"))
-    assert res.state is MonotoneState.MONOTONE_ON_GRID
+    assert res.passed
 
 
 def test_builtin_registry_names():
@@ -188,7 +205,7 @@ def test_builtin_expectations_reproduce():
         assert validate_phiu(triple.phi).passed == exp.phi_ok
         assert validate_cclass(triple.g).passed == exp.g_ok
         mono = validate_monotone_triple(triple)
-        assert (mono.state is MonotoneState.MONOTONE_ON_GRID) == exp.monotone
+        assert mono.passed == exp.monotone
 
 
 def test_unknown_triple_name():
@@ -204,3 +221,92 @@ def test_validators_are_deterministic():
     ra = validate_cclass(CClassFunction(lambda s, t: s, "s"))
     rb = validate_cclass(CClassFunction(lambda s, t: s, "s"))
     assert ra == rb
+
+
+
+@st.composite
+def drawn_grids(draw):
+    """A small grid of [0, 1], and one drawn value per grid point.
+
+    Half the draws sort the values past the first, so that passing and
+    positivity outcomes are reached as well as decreasing steps.
+    """
+    grid = Grid1D(upper=1.0, points=draw(st.integers(2, 24)))
+    xs = grid.values()
+    value = st.sampled_from([-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0]) | st.floats(-4.0, 4.0)
+    vals = draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    if draw(st.booleans()):
+        vals[1:] = sorted(vals[1:])
+    return grid, xs, np.array(vals)
+
+
+def _lookup(xs, vals):
+    """A function of the grid point (and of an ignored second argument): its drawn value."""
+    table = dict(zip(xs.tolist(), vals.tolist()))
+    return lambda x, *_: table[x]
+
+
+TOLS = st.sampled_from([0.0, 1e-9, 0.25, 1.0]) | st.floats(0.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=drawn_grids(), tol=TOLS)
+def test_monotone_witness_equals_the_brute_force_scan(drawn, tol):
+    # h(x) = G(psi(x), phi(x)) = G(x, x) is the drawn value at x
+    grid, xs, h = drawn
+    triple = CClassTriple(AlteringDistance(lambda t: t, "identity"),
+                          PhiU(lambda t: t, "identity"),
+                          CClassFunction(_lookup(xs, h), "lookup"), name="drawn")
+    res = validate_monotone_triple(triple, grid, tol)
+    oracle = _brute_force_first_violation(xs, h, tol)
+    assert res.witness == oracle
+    assert res.passed == (oracle is None)
+    assert res.subject == "drawn"
+    assert res.axiom == (None if oracle is None else "non-decreasing")
+
+
+def _altering_reference(ts, vals, tol):
+    """(axiom, witness) of the first failure, by scalar loops in grid order, or None."""
+    if abs(vals[0]) > tol:
+        return "zero-at-zero", (0.0, float(vals[0]))
+    for t, v in zip(ts, vals):
+        if t > tol and v <= tol:
+            return "positivity", (float(t), float(v))
+    for i in range(len(ts) - 1):
+        if vals[i] > vals[i + 1] + tol:
+            return "non-decreasing", (float(ts[i]), float(ts[i + 1]))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=drawn_grids(), zero=st.sampled_from([0.0, 1e-10, -1e-10, 0.5]), tol=TOLS)
+def test_altering_witness_equals_the_loop_reference(drawn, zero, tol):
+    grid, ts, vals = drawn
+    vals[0] = zero  # psi(0), which the zero-at-zero axiom reads
+    rep = validate_altering(AlteringDistance(_lookup(ts, vals), "drawn"), grid, tol)
+    expected = _altering_reference(ts, vals, tol)
+    assert rep.passed == (expected is None)
+    assert (rep.axiom, rep.witness) == (expected or (None, None))
+    assert rep.subject == "drawn"
+
+
+def _fails_past(limit, value):
+    """value(x) up to ``limit``, and a failing evaluation past it."""
+    def fn(x, *_):
+        if x > limit:
+            raise ValueError("past the limit")
+        return value(x)
+    return fn
+
+
+def test_phiu_failure_is_not_replaced_by_a_later_error():
+    # phi is evaluated point by point: the first non-positive value decides
+    rep = validate_phiu(PhiU(_fails_past(1.0, lambda t: -t), "neg"), Grid1D(upper=2.0))
+    assert (rep.passed, rep.axiom) == (False, "positivity")
+    assert rep.witness[0] <= 1.0
+
+
+def test_cclass_failure_is_not_replaced_by_a_later_error():
+    rep = validate_cclass(CClassFunction(_fails_past(1.0, lambda s: s + 1.0), "s+1"),
+                          Grid2D(upper=2.0))
+    assert (rep.passed, rep.axiom, rep.witness) == (False, "upper-bound", (0.0, 0.0))

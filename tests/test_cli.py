@@ -279,6 +279,12 @@ class TestConfigFile:
     def test_missing_file(self):
         assert main(["run", "--config", "missing.cfg"]) == EXIT_CONFIG
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"problem = half-map\n\xff\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {str(cfg)!r}: ")
+
     @pytest.mark.parametrize("line", ["tol = abc", "max-iter = 1.5", "c = x",
                                       "divergence-bound = y"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, line):
@@ -461,10 +467,12 @@ class TestVerifyCClass:
     def test_unknown_triple(self):
         assert main(["verify-cclass", "--triple", "zzz"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("upper", ["nan", "inf"])
-    def test_grid_upper_must_be_finite(self, upper):
+    # a subnormal upper leaves the grid's log refinement no positive start
+    @pytest.mark.parametrize("upper", ["nan", "inf", "5e-324", "1e-320"])
+    def test_grid_upper_must_be_finite(self, upper, capsys):
         args = ["verify-cclass", "--triple", "identity-triple", "--grid-upper", upper]
         assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: grid ")
 
     @pytest.mark.parametrize("upper,at", [("1e200", "1e+197"), ("1e160", "1e+157")])
     def test_grid_overflow_is_blamed_on_the_grid(self, upper, at, capsys):
@@ -507,6 +515,16 @@ class TestSweep:
         assert row[1] == fields["iterations"]
         assert row[2] == fields["status"]
         assert row[3] == fields["residual"]
+
+    def test_pair_is_built_once_per_sweep(self, monkeypatch):
+        # each build checks S's rank and inverts S
+        built = []
+        pair = ProblemInstance.pair
+        monkeypatch.setattr(ProblemInstance, "pair", lambda self: built.append(1) or pair(self))
+        assert main(["sweep", "--problem", "jungck-linear", "--scheme", "jungck-schaefer",
+                     "--c-values", "0.1,0.5,1"]) == EXIT_OK
+        assert len(open("sweep.csv").read().splitlines()) == 4
+        assert len(built) == 1
 
     def test_empty_c_values(self):
         assert main(["sweep", "--problem", "reflection", "--c-values", ""]) == EXIT_CONFIG

@@ -1,12 +1,13 @@
 """Property test over generated command lines: every one ends in a documented exit code.
 
-Each flag has valid values and hostile ones: NaN, infinities, huge, negative
-and zero numbers, unknown names, and output paths in a missing directory or
-naming a directory.  A command line carries at most two hostile values, so
-that most get past parsing and reach the code behind it.  Sizes stay small:
-huge sizes are a memory question, not a parsing one.  Half the command lines
-run or sweep an expanding problem from a start at the edge of overflow, a
-case that needs several flags to agree and that uniform draws seldom reach.
+Each flag has valid values and hostile ones: NaN, infinities, huge, negative,
+zero and subnormal numbers, unknown names, and output paths in a missing
+directory or naming a directory.  A command line carries at most two hostile
+values, so that most get past parsing and reach the code behind it.  Sizes
+stay small: huge sizes are a memory question, not a parsing one.  Half the
+command lines run or sweep an expanding problem from a start at the edge of
+overflow, a case that needs several flags to agree and that uniform draws
+seldom reach.
 """
 
 import io
@@ -21,7 +22,8 @@ from enrichedfp.cclass import builtin_triples
 from enrichedfp.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VIOLATED, main
 from enrichedfp.problems import builtin_problems
 
-NUMBERS = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e308", "-1e308", "-nan", "-1e-3"])
+NUMBERS = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e308", "-1e308", "-nan", "-1e-3",
+                           "5e-324"])
 
 
 def _one_of(valid, hostile):
@@ -131,7 +133,8 @@ def overflowing_lines(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples under the default profile, scaled with the loaded profile's budget
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(argv=command_lines() | overflowing_lines())
 def test_any_command_line_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
