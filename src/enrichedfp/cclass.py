@@ -10,13 +10,15 @@ Continuity is not machine-checkable; validators work on finite grids with
 tolerance bands and are documented heuristics.  Equality in the degeneracy
 axiom uses a band |G - s| <= tol because exact float equality almost never
 triggers.  Witnesses are reported first-in-grid-order so reruns and
-partitioned scans agree.  Every validator returns a ``ValidationReport``;
-``validate_cclass`` and ``validate_phiu`` evaluate point by point and stop at
-the first failure, so that an evaluation error further on cannot replace it.
+partitioned scans agree.  Every validator returns a ``ValidationReport``: an
+axiom failure before the first point where a component fails wins, else that
+point's error is raised.  Components see one point of floats at a time, as
+numpy's pow, exp and log on arrays may round apart from libm's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -59,6 +61,44 @@ def _eval_checked(fn, x, label):
             raise _Overflow(f"{label} overflowed to {y} at {x}", x)
         raise EvaluationError(f"{label} returned non-finite value at {x}", x)
     return y
+
+
+def _evaluate(component, points, n: int):
+    """(values, None) of ``fn`` at the n argument tuples ``points()`` yields; if one raises or
+    is not finite, ``__call__`` replays them and (the values before it, its error) is returned."""
+    try:
+        vals = np.fromiter(map(float, itertools.starmap(component.fn, points())), float, n)
+        if np.isfinite(vals).all():
+            return vals, None
+    except Exception:
+        pass
+    vals = []
+    for x in points():
+        try:
+            vals.append(component(*x))
+        except Exception as exc:
+            return np.array(vals, float), exc
+    return np.array(vals, float), None
+
+
+def _triple_values(triple: CClassTriple, xs: list):
+    """h(x) = G(psi(x), phi(x)) at the floats xs: the first failure by point, then psi, phi, G."""
+    psi, e_psi = _evaluate(triple.psi, lambda: zip(xs), len(xs))
+    phi, e_phi = _evaluate(triple.phi, lambda: zip(xs[:len(psi)]), len(psi))
+    h, e_g = _evaluate(triple.g, lambda: zip(psi[:len(phi)].tolist(), phi.tolist()), len(phi))
+    return h, e_g or e_phi or e_psi  # each ran only before the failures found earlier
+
+
+def _verdict(subject: str, err, *checks) -> ValidationReport:
+    """The first check (axiom, bad, xs, ys) with a True in ``bad``, witness (xs[i], ys[i])
+    at its first; else the error ``_evaluate`` returned is raised, or every axiom held."""
+    for axiom, bad, xs, ys in checks:
+        if bad.any():
+            i = int(bad.argmax())
+            return ValidationReport(subject, False, axiom, (float(xs[i]), float(ys[i])))
+    if err is not None:
+        raise err
+    return ValidationReport(subject, True)
 
 
 def _check_tol(tol: float) -> None:
@@ -180,14 +220,19 @@ def validate_cclass(
     """
     _check_tol(tol)
     axis = grid.axis()
-    for s in axis:
-        for t in axis:
-            val = g(float(s), float(t))
-            if val > s + tol:
-                return ValidationReport(g.label, False, "upper-bound", (float(s), float(t)))
-            if abs(val - s) <= tol and s > tol and t > tol:
-                return ValidationReport(g.label, False, "degeneracy", (float(s), float(t)))
-    return ValidationReport(g.label, True)
+    n, pts = len(axis), axis.tolist()
+    vals, err = _evaluate(g, lambda: itertools.product(pts, pts), n * n)
+    if err is not None:  # NaN from the failed point on: it fails no axiom
+        vals = np.append(vals, np.full(n * n - len(vals), np.nan))
+    s, t, v = axis[:, None], axis, vals.reshape(n, n)
+    upper = v > s + tol
+    v -= s  # |G - s| in place, so that no second (n, n) array is made
+    bad = upper | ((np.abs(v, out=v) <= tol) & (s > tol) & (t > tol))
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), n)
+        axiom = "upper-bound" if upper[i, j] else "degeneracy"
+        return ValidationReport(g.label, False, axiom, (pts[i], pts[j]))
+    return _verdict(g.label, err)
 
 
 def validate_altering(
@@ -198,18 +243,11 @@ def validate_altering(
     """Check psi(0) = 0, positivity beyond tol, and non-decrease on the grid."""
     _check_tol(tol)
     ts = grid.values()
-    vals = np.array([psi(float(t)) for t in ts])
-    zero = psi(0.0)
-    if abs(zero) > tol:
-        return ValidationReport(psi.label, False, "zero-at-zero", (0.0, zero))
-    # the first grid point, in order, where psi is not positive past tol, then the
-    # first step where it decreases; the witness is (t, psi(t)), then the step's ends
-    for axiom, bad, ys in (("positivity", (ts > tol) & (vals <= tol), vals),
-                           ("non-decreasing", vals[:-1] > vals[1:] + tol, ts[1:])):
-        if bad.any():
-            i = int(bad.argmax())
-            return ValidationReport(psi.label, False, axiom, (float(ts[i]), float(ys[i])))
-    return ValidationReport(psi.label, True)
+    vals, err = _evaluate(psi, lambda: zip(ts.tolist()), len(ts))
+    # every grid starts at 0, so vals[0] is psi(0); a decreasing step's witness is its ends
+    return _verdict(psi.label, err, ("zero-at-zero", abs(vals[:1]) > tol, ts, vals),
+                    ("positivity", (ts[:len(vals)] > tol) & (vals <= tol), ts, vals),
+                    ("non-decreasing", vals[:-1] > vals[1:] + tol, ts, ts[1:]))
 
 
 def validate_phiu(
@@ -220,15 +258,10 @@ def validate_phiu(
     """Check phi(0) >= 0 and strict positivity at grid points beyond tol."""
     _check_tol(tol)
     ts = grid.values()
-    zero = phi(0.0)
-    if zero < -tol:
-        return ValidationReport(phi.label, False, "nonnegative-at-zero", (0.0, zero))
-    for t in ts:
-        if t > tol:
-            v = phi(float(t))
-            if v <= 0.0:
-                return ValidationReport(phi.label, False, "positivity", (float(t), float(v)))
-    return ValidationReport(phi.label, True)
+    ts = np.append(0.0, ts[ts > tol])  # phi(0), then the points past tol
+    vals, err = _evaluate(phi, lambda: zip(ts.tolist()), len(ts))
+    return _verdict(phi.label, err, ("nonnegative-at-zero", vals[:1] < -tol, ts, vals),
+                    ("positivity", (ts[:len(vals)] > tol) & (vals <= 0.0), ts, vals))
 
 
 def validate_monotone_triple(
@@ -244,13 +277,11 @@ def validate_monotone_triple(
     """
     _check_tol(tol)
     xs = grid.values()
-    h = np.array(
-        [triple.g(triple.psi(float(x)), triple.phi(float(x))) for x in xs]
-    )
+    h, err = _triple_values(triple, xs.tolist())
     # entry j - 1 is True when some h[i], i < j, exceeds h[j] + tol
     bad = np.maximum.accumulate(h)[:-1] > h[1:] + tol
     if not bad.any():
-        return ValidationReport(triple.name, True)
+        return _verdict(triple.name, err)
     j = int(bad.argmax()) + 1
     i = int(np.argmax(h[:j] > h[j] + tol))  # first True in ascending x order
     return ValidationReport(triple.name, False, "non-decreasing", (float(xs[i]), float(xs[j])))

@@ -39,6 +39,8 @@ from .cclass import (
     validate_altering,
     validate_cclass,
     validate_phiu,
+    _evaluate,
+    _triple_values,
 )
 from .errors import InvalidConfig, InvalidInput
 from .space import Mapping, NormKind, Point, block_sizes, check_commuting, row_norms
@@ -185,8 +187,10 @@ def _sides(
         m = functools.reduce(operator.add, (c * row_norms(a - b, k) for c, a, b in terms))
     if triple is None:
         return lhs, m, m
-    psi_lhs = np.fromiter(map(triple.psi, lhs.tolist()), float, len(lhs))
-    rhs = np.fromiter((triple.g(triple.psi(b), triple.phi(b)) for b in m.tolist()), float, len(m))
+    psi_lhs, err = _evaluate(triple.psi, lambda: zip(lhs.tolist()), len(lhs))
+    rhs, err_rhs = _triple_values(triple, m.tolist())
+    if err or err_rhs:  # in a row, psi(lhs) fails before psi(M), phi(M) and G
+        raise err or err_rhs
     return psi_lhs, rhs, m
 
 

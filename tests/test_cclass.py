@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from enrichedfp.cclass import (
     Grid1D,
     Grid2D,
     PhiU,
+    ValidationReport,
     _Overflow,
     builtin_triples,
     get_triple,
@@ -223,7 +225,6 @@ def test_validators_are_deterministic():
     assert ra == rb
 
 
-
 @st.composite
 def drawn_grids(draw):
     """A small grid of [0, 1], and one drawn value per grid point.
@@ -249,7 +250,7 @@ def _lookup(xs, vals):
 TOLS = st.sampled_from([0.0, 1e-9, 0.25, 1.0]) | st.floats(0.0, 2.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
 @given(drawn=drawn_grids(), tol=TOLS)
 def test_monotone_witness_equals_the_brute_force_scan(drawn, tol):
     # h(x) = G(psi(x), phi(x)) = G(x, x) is the drawn value at x
@@ -278,7 +279,7 @@ def _altering_reference(ts, vals, tol):
     return None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
 @given(drawn=drawn_grids(), zero=st.sampled_from([0.0, 1e-10, -1e-10, 0.5]), tol=TOLS)
 def test_altering_witness_equals_the_loop_reference(drawn, zero, tol):
     grid, ts, vals = drawn
@@ -310,3 +311,214 @@ def test_cclass_failure_is_not_replaced_by_a_later_error():
     rep = validate_cclass(CClassFunction(_fails_past(1.0, lambda s: s + 1.0), "s+1"),
                           Grid2D(upper=2.0))
     assert (rep.passed, rep.axiom, rep.witness) == (False, "upper-bound", (0.0, 0.0))
+
+
+def test_altering_failure_is_not_replaced_by_a_later_error():
+    rep = validate_altering(AlteringDistance(_fails_past(1.0, lambda t: -t), "neg"),
+                            Grid1D(upper=2.0))
+    assert (rep.passed, rep.axiom) == (False, "positivity")
+    assert rep.witness[0] <= 1.0
+
+
+def test_monotone_failure_is_not_replaced_by_a_later_error():
+    # h(x) = G(x, x) = -x decreases from the first step; G fails past x = 1
+    triple = CClassTriple(AlteringDistance(lambda t: t, "identity"),
+                          PhiU(lambda t: t, "identity"),
+                          CClassFunction(_fails_past(1.0, lambda s: -s), "neg"), name="neg")
+    rep = validate_monotone_triple(triple, Grid1D(upper=2.0))
+    assert (rep.passed, rep.axiom) == (False, "non-decreasing")
+    assert rep.witness[1] <= 1.0
+
+
+# The pointwise loops the validators replaced, kept as references: each component is
+# called point by point through ``__call__`` and the scan stops at the first point
+# that fails.  ``validate_cclass`` and ``validate_phiu`` are their loops unchanged;
+# ``validate_altering`` and ``validate_monotone_triple`` once evaluated every point
+# first, and now decide on the values before the first failed point, as these do.
+
+def _reference_cclass(g, grid, tol):
+    axis = grid.axis()
+    for s in axis:
+        for t in axis:
+            val = g(float(s), float(t))
+            if val > s + tol:
+                return ValidationReport(g.label, False, "upper-bound", (float(s), float(t)))
+            if abs(val - s) <= tol and s > tol and t > tol:
+                return ValidationReport(g.label, False, "degeneracy", (float(s), float(t)))
+    return ValidationReport(g.label, True)
+
+
+def _reference_phiu(phi, grid, tol):
+    zero = phi(0.0)
+    if zero < -tol:
+        return ValidationReport(phi.label, False, "nonnegative-at-zero", (0.0, zero))
+    for t in grid.values():
+        if t > tol:
+            v = phi(float(t))
+            if v <= 0.0:
+                return ValidationReport(phi.label, False, "positivity", (float(t), float(v)))
+    return ValidationReport(phi.label, True)
+
+
+def _until_failure(h, xs):
+    """[h(x) for x in xs] up to the first x where h raises, and that exception or None."""
+    vals = []
+    for x in xs:
+        try:
+            vals.append(h(float(x)))
+        except Exception as exc:
+            return vals, exc
+    return vals, None
+
+
+def _reference_altering(psi, grid, tol):
+    ts = grid.values()
+    vals, err = _until_failure(psi, ts)
+    found = vals and _altering_reference(ts[:len(vals)], np.array(vals), tol)
+    if found:
+        return ValidationReport(psi.label, False, *found)
+    if err is not None:
+        raise err
+    return ValidationReport(psi.label, True)
+
+
+def _reference_monotone(triple, grid, tol):
+    xs = grid.values()
+    h, err = _until_failure(lambda x: triple.g(triple.psi(x), triple.phi(x)), xs)
+    found = _brute_force_first_violation(xs[:len(h)], h, tol)
+    if found:
+        return ValidationReport(triple.name, False, "non-decreasing", found)
+    if err is not None:
+        raise err
+    return ValidationReport(triple.name, True)
+
+
+def _outcome(validate, *args):
+    """The report, or the raised exception's type, message and offending input."""
+    try:
+        return validate(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offending_input", None)
+
+
+# a drawn component returns a finite value of any numeric type, or, at a few points,
+# an infinity, a NaN, an int past the float range, or raises
+VALID = (st.sampled_from([-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0]) | st.floats(-4.0, 4.0)
+         | st.integers(-2, 3) | st.floats(-4.0, 4.0).map(np.float64))
+BAD = st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400,
+                       ValueError, ZeroDivisionError, TypeError])
+
+
+@st.composite
+def drawn_table(draw, keys):
+    """One drawn outcome per key; half the draws sort the values past the first."""
+    vals = draw(st.lists(VALID, min_size=len(keys), max_size=len(keys)))
+    if draw(st.booleans()):
+        vals[1:] = sorted(vals[1:])
+    for _ in range(draw(st.integers(0, 3))):
+        vals[draw(st.integers(0, len(keys) - 1))] = draw(BAD)
+    return dict(zip(keys, vals))
+
+
+def _drawn(table, offset=False):
+    """A component that looks its arguments up in ``table``: it raises a drawn exception
+    type, or returns the drawn value, added to its first argument for a float ``offset``."""
+    def fn(*args):
+        v = table[args if len(args) > 1 else args[0]]
+        if isinstance(v, type):
+            raise v(f"drawn failure at {args}")
+        return args[0] + v if offset and type(v) is float else v
+    return fn
+
+
+grids_1d = st.builds(Grid1D, upper=st.sampled_from([1.0, 2.0]), points=st.integers(2, 16))
+
+
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(grid=st.builds(Grid2D, upper=st.sampled_from([1.0, 2.0]),
+                      points_per_axis=st.integers(2, 6)), data=st.data(), tol=TOLS)
+def test_cclass_equals_the_pointwise_loop(grid, data, tol):
+    axis = grid.axis().tolist()
+    table = data.draw(drawn_table([(s, t) for s in axis for t in axis]))
+    g = CClassFunction(_drawn(table, offset=True), "drawn")
+    assert _outcome(validate_cclass, g, grid, tol) == _outcome(_reference_cclass, g, grid, tol)
+
+
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(grid=grids_1d, data=st.data(), tol=TOLS)
+def test_phiu_equals_the_pointwise_loop(grid, data, tol):
+    phi = PhiU(_drawn(data.draw(drawn_table(grid.values().tolist()))), "drawn")
+    assert _outcome(validate_phiu, phi, grid, tol) == _outcome(_reference_phiu, phi, grid, tol)
+
+
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(grid=grids_1d, data=st.data(), tol=TOLS)
+def test_altering_equals_the_pointwise_loop(grid, data, tol):
+    psi = AlteringDistance(_drawn(data.draw(drawn_table(grid.values().tolist()))), "drawn")
+    want = _outcome(_reference_altering, psi, grid, tol)
+    assert _outcome(validate_altering, psi, grid, tol) == want
+
+
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
+@given(grid=grids_1d, data=st.data(), tol=TOLS)
+def test_monotone_equals_the_pointwise_loop(grid, data, tol):
+    xs = grid.values().tolist()
+    psi_table, phi_table = data.draw(drawn_table(xs)), data.draw(drawn_table(xs))
+    h = data.draw(st.lists(VALID | BAD, min_size=len(xs), max_size=len(xs)))
+    g_table = {}
+    for x, value in zip(xs, h):
+        try:
+            key = float(psi_table[x]), float(phi_table[x])
+        except (TypeError, OverflowError):  # psi or phi raises or is out of range here
+            continue
+        g_table.setdefault(key, value)
+    triple = CClassTriple(AlteringDistance(_drawn(psi_table), "psi"),
+                          PhiU(_drawn(phi_table), "phi"), CClassFunction(_drawn(g_table), "g"),
+                          name="drawn")
+    want = _outcome(_reference_monotone, triple, grid, tol)
+    assert _outcome(validate_monotone_triple, triple, grid, tol) == want
+
+
+def _raises_past(limit, exc):
+    def fn(x, *_):
+        if x > limit:
+            raise exc(f"past {limit}")
+        return x
+    return fn
+
+
+def test_psi_fails_before_phi_and_g_at_one_point():
+    # psi, phi and G all fail first at x = 1.0, past 0.5, so psi's error is raised
+    triple = CClassTriple(AlteringDistance(_raises_past(0.5, ValueError), "psi"),
+                          PhiU(_raises_past(0.5, ZeroDivisionError), "phi"),
+                          CClassFunction(_raises_past(0.5, TypeError), "g"), name="all")
+    with pytest.raises(EvaluationError, match=r"^psi failed to evaluate at 1\.0: past 0\.5$"):
+        validate_monotone_triple(triple, Grid1D(upper=1.0, points=3))
+    # with psi total, phi's error comes before G's at the same point
+    triple = dataclasses.replace(triple, psi=AlteringDistance(lambda t: t, "identity"))
+    with pytest.raises(EvaluationError, match=r"^phi failed to evaluate at 1\.0: past 0\.5$"):
+        validate_monotone_triple(triple, Grid1D(upper=1.0, points=3))
+
+
+@pytest.mark.parametrize("validate, component", [
+    (validate_altering, AlteringDistance),
+    (validate_phiu, PhiU),
+])
+def test_first_overflow_is_kept_as_an_overflow(validate, component):
+    # two infinities at finite points: the first, in grid order, is the one reported
+    fn = component(lambda t: math.inf if t > 0.5 else t, "inf")
+    with pytest.raises(_Overflow, match=r"^inf overflowed to inf at 0\.75$") as err:
+        validate(fn, Grid1D(upper=1.0, points=5))
+    assert err.value.offending_input == 0.75
+
+
+def test_cclass_error_in_a_row_comes_before_a_violation_in_the_next():
+    # in row-major order G fails at (0, 1) before it exceeds s at (1, 0)
+    def g(s, t):
+        if (s, t) == (0.0, 1.0):
+            raise ValueError("fails at (0, 1)")
+        return 2.0 * s
+
+    with pytest.raises(EvaluationError) as err:
+        validate_cclass(CClassFunction(g, "2s"), Grid2D(upper=1.0, points_per_axis=2))
+    assert err.value.offending_input == (0.0, 1.0)
